@@ -132,6 +132,9 @@ Alignment align_over(std::span<const trace::TaskTrace> traces,
 
     // Instruction-level elements, over the skeleton's instruction set.
     for (const auto& instr : skeleton_block->instructions) {
+      PMACX_CHECK(instr.index <= trace::kMaxInstrIndex,
+                  "alignment: block " + std::to_string(block_id) + " instr " +
+                      std::to_string(instr.index) + " exceeds the largest instruction index");
       for (std::size_t e = 0; e < trace::kInstrElementCount; ++e) {
         Series series;
         series.values.resize(traces.size(), 0.0);

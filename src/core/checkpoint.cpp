@@ -54,7 +54,7 @@ std::string hex_u32(std::uint32_t v) {
   return out;
 }
 
-// ---- pmacx-ckpt-v1 record encoding ---------------------------------------
+// ---- pmacx-ckpt-v3 record encoding ---------------------------------------
 //
 // Little-endian throughout; doubles as raw IEEE-754 bit patterns (memcpy)
 // so fitted parameters round-trip exactly — the byte-identity guarantee of
@@ -163,27 +163,6 @@ void encode_element(std::string& bytes, const ElementModels& em) {
   put_u32(bytes, static_cast<std::uint32_t>(em.scores.size()));
   for (double v : em.scores) put_f64(bytes, v);
   put_u8(bytes, em.influential ? 1 : 0);
-  // v2: the sufficient-statistics block.  Doubles round-trip as raw bit
-  // patterns like everything else, so a resumed run's moments are bitwise
-  // the ones a cold fit computes.
-  const stats::SeriesMoments& sm = em.moments;
-  put_u64(bytes, sm.count);
-  put_u64(bytes, sm.pos);
-  put_u64(bytes, sm.neg);
-  put_u64(bytes, sm.zero);
-  put_u8(bytes, sm.bad_axis ? 1 : 0);
-  put_u32(bytes, sm.fingerprint);
-  for (const stats::Moments& m : sm.families) {
-    put_u64(bytes, m.n);
-    put_f64(bytes, m.sx);
-    put_f64(bytes, m.sy);
-    put_f64(bytes, m.sxx);
-    put_f64(bytes, m.sxy);
-    put_f64(bytes, m.syy);
-    put_f64(bytes, m.sx3);
-    put_f64(bytes, m.sx4);
-    put_f64(bytes, m.sx2y);
-  }
 }
 
 ElementModels decode_element(Reader& reader) {
@@ -211,25 +190,6 @@ ElementModels decode_element(Reader& reader) {
   em.scores.reserve(scores);
   for (std::uint32_t i = 0; i < scores; ++i) em.scores.push_back(reader.f64());
   em.influential = reader.u8() != 0;
-  stats::SeriesMoments& sm = em.moments;
-  sm.count = reader.u64();
-  if (sm.count > 1u << 20) reader.fail("implausible moments sample count");
-  sm.pos = reader.u64();
-  sm.neg = reader.u64();
-  sm.zero = reader.u64();
-  sm.bad_axis = reader.u8() != 0;
-  sm.fingerprint = reader.u32();
-  for (stats::Moments& m : sm.families) {
-    m.n = reader.u64();
-    m.sx = reader.f64();
-    m.sy = reader.f64();
-    m.sxx = reader.f64();
-    m.sxy = reader.f64();
-    m.syy = reader.f64();
-    m.sx3 = reader.f64();
-    m.sx4 = reader.f64();
-    m.sx2y = reader.f64();
-  }
   return em;
 }
 

@@ -1,4 +1,4 @@
-// Crash-safe checkpointing of fitted model sets (pmacx-ckpt-v1).
+// Crash-safe checkpointing of fitted model sets (pmacx-ckpt-v3).
 //
 // The expensive half of an extrapolation is per-element canonical fitting;
 // everything after it is cheap and deterministic.  A checkpointed fit
@@ -31,9 +31,10 @@ namespace pmacx::core {
 
 /// On-disk format version; bumped whenever the manifest or chunk layout
 /// changes.  A version mismatch discards the checkpoint (full re-fit).
-/// v2 appended the per-element sufficient-statistics block (SeriesMoments)
-/// after the influential flag; v1 checkpoints are discarded cleanly.
-inline constexpr const char* kCheckpointVersion = "pmacx-ckpt-v2";
+/// v3 dropped v2's per-element sufficient-statistics block: an element
+/// record is its fit series, candidates, scores, and influential flag.
+/// v1 and v2 checkpoints are discarded cleanly.
+inline constexpr const char* kCheckpointVersion = "pmacx-ckpt-v3";
 
 /// Content digest of a fitting workload: 16 lowercase hex chars over the
 /// input trace CRCs and every option field that changes fitted models.

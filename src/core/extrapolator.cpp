@@ -7,6 +7,7 @@
 #include <cstring>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "core/checkpoint.hpp"
 #include "core/incremental.hpp"
@@ -160,14 +161,17 @@ void monotonize_hit_rates(trace::BasicBlockRecord& block) {
 }
 
 /// Influence flags per the paper's 0.1 % rule, computed on the reference
-/// (largest core count) trace.
+/// (largest core count) trace.  Instructions are keyed by the whole
+/// (block id, index) pair, so no two instructions can share a flag.
 struct InfluenceIndex {
+  using InstrKey = std::pair<std::uint64_t, std::uint32_t>;
+  struct InstrKeyHash {
+    std::size_t operator()(const InstrKey& key) const {
+      return static_cast<std::size_t>(key.first * 0x9e3779b97f4a7c15ull + key.second);
+    }
+  };
   std::unordered_map<std::uint64_t, bool> blocks;
-  std::unordered_map<std::uint64_t, bool> instrs;  ///< key: block_id*4096+index
-
-  static std::uint64_t instr_key(std::uint64_t block_id, std::uint32_t index) {
-    return block_id * 4096 + index;
-  }
+  std::unordered_map<InstrKey, bool, InstrKeyHash> instrs;
 
   InfluenceIndex(const trace::TaskTrace& reference, double threshold) {
     const double total_mem = reference.total_memory_ops();
@@ -189,7 +193,7 @@ struct InfluenceIndex {
         } else if (total_fp > 0) {
           instr_influential = instr.get(trace::InstrElement::FpOps) / total_fp > threshold;
         }
-        instrs[instr_key(block.id, instr.index)] = instr_influential;
+        instrs[{block.id, instr.index}] = instr_influential;
       }
     }
   }
@@ -199,10 +203,27 @@ struct InfluenceIndex {
       const auto it = blocks.find(key.block_id);
       return it != blocks.end() && it->second;
     }
-    const auto it = instrs.find(instr_key(key.block_id, static_cast<std::uint32_t>(key.instr_index)));
+    const auto it = instrs.find({key.block_id, static_cast<std::uint32_t>(key.instr_index)});
     return it != instrs.end() && it->second;
   }
 };
+
+/// The start every model-set fitting entry point shares: aligns `inputs`
+/// on the core-count axis into `set`, snapshots the policy (pool pointer
+/// cleared: a cached set must not outlive a borrowed pool) and the workload
+/// identity, and returns the influence flags of the reference trace.
+InfluenceIndex start_model_set(TaskModelSet& set, std::span<const trace::TaskTrace> inputs,
+                               const ExtrapolationOptions& options) {
+  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
+  set.alignment = align_traces(inputs, options.missing);
+  set.options = options;
+  set.options.pool = nullptr;
+  set.app = inputs.back().app;
+  set.rank = inputs.back().rank;
+  set.target_system = inputs.back().target_system;
+  set.axis_name = "cores";
+  return InfluenceIndex(inputs.back(), options.influence_threshold);
+}
 
 }  // namespace
 
@@ -255,7 +276,6 @@ ElementModels compute_element_models(const Alignment& alignment,
   em.candidates = stats::fit_all(em.fit_axis, em.fit_values, options.fit);
   em.scores = stats::selection_scores(em.candidates, em.fit_axis, em.fit_values,
                                       options.fit);
-  em.moments = stats::SeriesMoments::from_series(em.fit_axis, em.fit_values);
   em.influential = influence.lookup(element.key);
   return em;
 }
@@ -417,7 +437,6 @@ std::vector<ElementModels> compute_models_chunk(const Alignment& alignment,
     em.fit_values.assign(element.values.begin(), element.values.end());
     em.candidates.assign(candidates + b * forms, candidates + (b + 1) * forms);
     em.scores.assign(scores + b * forms, scores + (b + 1) * forms);
-    em.moments = stats::SeriesMoments::from_series(em.fit_axis, em.fit_values);
     em.influential = influence.lookup(element.key);
   }
   return out;
@@ -655,18 +674,8 @@ std::size_t TaskModelSet::memory_bytes() const {
 
 TaskModelSet fit_task_models(std::span<const trace::TaskTrace> inputs,
                              const ExtrapolationOptions& options) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
-
   TaskModelSet set;
-  set.alignment = align_traces(inputs, options.missing);
-  set.options = options;
-  set.options.pool = nullptr;  // a cached set must not outlive a borrowed pool
-  set.app = inputs.back().app;
-  set.rank = inputs.back().rank;
-  set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
-
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
+  const InfluenceIndex influence = start_model_set(set, inputs, options);
   util::metrics::StageTimer fit_timer("extrapolate.fit");
   set.models = compute_models_stage(set.alignment, influence, options, 0,
                                     set.alignment.elements.size());
@@ -677,18 +686,8 @@ TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inpu
                                           const ExtrapolationOptions& options,
                                           const CheckpointConfig& config,
                                           CheckpointStats* stats_out) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
-
   TaskModelSet set;
-  set.alignment = align_traces(inputs, options.missing);
-  set.options = options;
-  set.options.pool = nullptr;  // a cached set must not outlive a borrowed pool
-  set.app = inputs.back().app;
-  set.rank = inputs.back().rank;
-  set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
-
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
+  const InfluenceIndex influence = start_model_set(set, inputs, options);
   const std::size_t count = set.alignment.elements.size();
 
   ModelCheckpoint checkpoint(config);
@@ -797,7 +796,6 @@ void record_incremental_metrics(const IncrementalFitStats& stats) {
   util::metrics::Registry& metrics = util::metrics::Registry::global();
   metrics.counter("fits.incremental.reused").add(stats.elements_reused);
   metrics.counter("fits.incremental.refit").add(stats.elements_refit);
-  metrics.counter("fits.incremental.extended").add(stats.moments_extended);
   if (stats.cold) metrics.counter("fits.incremental.cold").add();
 }
 
@@ -827,15 +825,7 @@ TaskModelSet fit_task_models_incremental(std::span<const trace::TaskTrace> input
   }
 
   TaskModelSet set;
-  set.alignment = align_traces(inputs, options.missing);
-  set.options = options;
-  set.options.pool = nullptr;  // a cached set must not outlive a borrowed pool
-  set.app = inputs.back().app;
-  set.rank = inputs.back().rank;
-  set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
-
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
+  const InfluenceIndex influence = start_model_set(set, inputs, options);
   const std::size_t count = set.alignment.elements.size();
   stats.elements_total = count;
   set.models.resize(count);
@@ -868,17 +858,6 @@ TaskModelSet fit_task_models_incremental(std::span<const trace::TaskTrace> input
       ++stats.elements_reused;
       continue;
     }
-    // A grown series whose prefix is exactly what the previous moments
-    // summarize extends them in O(1) — the fingerprint chains per sample,
-    // so prefix identity is one u32 comparison.  The refit recomputes the
-    // same moments from the full series (extension and recomputation are
-    // bitwise identical, pinned in tests/stats_suffstats_test.cpp); the
-    // tally tracks how much of the workload was a pure append.
-    if (prev != nullptr && prev->moments.count > 0 && prev->moments.count < axis.size() &&
-        stats::series_fingerprint(axis, values,
-                                  static_cast<std::size_t>(prev->moments.count)) ==
-            prev->moments.fingerprint)
-      ++stats.moments_extended;
     refit.push_back(i);
   }
 

@@ -16,7 +16,6 @@
 #include "core/diagnostics.hpp"
 #include "core/report.hpp"
 #include "stats/canonical.hpp"
-#include "stats/suffstats.hpp"
 #include "trace/task_trace.hpp"
 
 namespace pmacx::util {
@@ -108,10 +107,6 @@ struct ElementModels {
   std::vector<double> fit_values;
   std::vector<stats::FittedModel> candidates;  ///< order of options.fit.forms
   std::vector<double> scores;                  ///< stats::selection_scores
-  /// Sufficient statistics of the fit series (every transform family).
-  /// Fixed-size and O(1)-appendable: an ingested trace at a new core count
-  /// extends these per element without re-reading earlier samples.
-  stats::SeriesMoments moments;
   bool influential = false;                    ///< paper's 0.1 % rule
 };
 

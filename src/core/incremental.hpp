@@ -3,22 +3,18 @@
 // A long-lived server that accepts trace uploads re-derives its model sets
 // as the input series grows.  fit_task_models_incremental takes the
 // *previous* fitted set for the same workload and produces the set for the
-// extended input list while doing strictly less work than a cold fit:
-//
-//   * elements whose fit series is unchanged (FitPresent-restricted series
-//     the new trace does not touch, or a re-upload of identical content)
-//     are bit-copied from the previous set — no fitting at all;
-//   * elements whose series grew get their sufficient statistics extended
-//     in O(1) per element (prefix identity proven by the moments
-//     fingerprint) and are refitted through the same shared fit stage every
-//     other entry point uses;
-//
-// so the result is byte-for-byte the set fit_task_models would produce
-// from scratch (pinned by tests/core_incremental_test.cpp: traces,
-// intervals, and models_digest all match a cold fit, for every upload
-// order).  An incompatible previous set — different fitting options, app,
-// rank, or target system — is ignored and the call degrades to a cold fit;
-// the worst failure mode is redoing work, never a wrong model.
+// extended input list while doing strictly less work than a cold fit.  It
+// has one rule: an element whose fit series is bitwise unchanged
+// (FitPresent-restricted series the new trace does not touch, or a
+// re-upload of identical content) is copied from the previous set with no
+// fitting at all; every other element is refitted through the same shared
+// fit stage every other entry point uses.  The result is therefore
+// byte-for-byte the set fit_task_models would produce from scratch (pinned
+// by tests/core_incremental_test.cpp: traces, intervals, and models_digest
+// all match a cold fit, for every upload order).  An incompatible previous
+// set — different fitting options, app, rank, or target system — is
+// ignored and the call degrades to a cold fit; the worst failure mode is
+// redoing work, never a wrong model.
 #pragma once
 
 #include <cstddef>
@@ -29,14 +25,12 @@
 namespace pmacx::core {
 
 /// Reuse-vs-recompute accounting of one incremental fit.  Mirrored into
-/// the metrics registry (fits.incremental.reused, .refit, .extended,
-/// .cold).
+/// the metrics registry (fits.incremental.reused, .refit, .cold).
 struct IncrementalFitStats {
   std::size_t elements_total = 0;
-  std::size_t elements_reused = 0;    ///< bit-copied: fit series unchanged
-  std::size_t elements_refit = 0;     ///< refitted over a changed series
-  std::size_t moments_extended = 0;   ///< O(1) suffix extension (prefix matched)
-  bool cold = false;                  ///< previous set absent or incompatible
+  std::size_t elements_reused = 0;  ///< bit-copied: fit series unchanged
+  std::size_t elements_refit = 0;   ///< refitted over a changed series
+  bool cold = false;                ///< previous set absent or incompatible
 };
 
 /// fit_task_models over `inputs`, reusing `previous` (the fitted set for a

@@ -48,7 +48,7 @@ struct PipelineConfig {
   /// resumes instead of restarting: each small-count collection persists its
   /// signature plus a stamp (pipeline version, app, core count, tracer
   /// knobs) and is skipped when a matching stamp exists, and element fitting
-  /// runs through fit_task_models_checkpointed (pmacx-ckpt-v1 chunks under
+  /// runs through fit_task_models_checkpointed (pmacx-ckpt-v3 chunks under
   /// <dir>/models, keyed by the collected traces' content digest).  Stale
   /// state — different app, counts, tracer or fit options — is detected by
   /// stamp/digest mismatch and redone; results are byte-identical to an

@@ -93,7 +93,6 @@ void RefitScheduler::run(const std::string& collection) {
       registry().counter("ingest.refits").add();
       registry().counter("ingest.refit.elements_reused").add(stats.elements_reused);
       registry().counter("ingest.refit.elements_refit").add(stats.elements_refit);
-      registry().counter("ingest.refit.moments_extended").add(stats.moments_extended);
       if (stats.cold) registry().counter("ingest.refit.cold").add();
       PMACX_LOG_INFO << "ingest: refit " << collection << " -> " << digest << " ("
                      << stats.elements_reused << " reused, " << stats.elements_refit

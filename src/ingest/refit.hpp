@@ -4,12 +4,11 @@
 // model set is stale the moment COMMIT returns.  The RefitScheduler closes
 // that gap off the request path: commits *schedule* a refit on the server's
 // shared thread pool, the refit runs core::fit_task_models_incremental
-// against the collection's previous set (bit-copying unchanged elements,
-// extending sufficient statistics, refitting only what changed), and the
-// finished set is handed to a publish hook that atomically swaps it into
-// the serving cache under its content digest.  In-flight requests keep the
-// shared_ptr they already resolved — the swap drops a reference, never a
-// response.
+// against the collection's previous set (bit-copying every element whose
+// fit series is unchanged, refitting the rest), and the finished set is
+// handed to a publish hook that atomically swaps it into the serving cache
+// under its content digest.  In-flight requests keep the shared_ptr they
+// already resolved — the swap drops a reference, never a response.
 //
 // Scheduling is per-collection, deduplicated, and serialized: while a refit
 // for collection C runs, further commits to C set a dirty bit instead of

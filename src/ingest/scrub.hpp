@@ -12,7 +12,7 @@
 //                  (each fully stream-validated), and the per-collection
 //                  manifest.pmx.
 //
-//   checkpoint dir pmacx-ckpt-v2 manifest + models_*.ckpt chunks (derived
+//   checkpoint dir pmacx-ckpt-v3 manifest + models_*.ckpt chunks (derived
 //                  data: anything torn is deleted and simply re-fit).
 //
 // Damage policy: *source* data (uploaded traces) is never destroyed —
@@ -64,7 +64,7 @@ struct ScrubReport {
 /// directory uncreatable); per-file damage is handled, not thrown.
 ScrubReport scrub_ingest_root(const ScrubOptions& options);
 
-/// Scrubs a pmacx-ckpt-v2 checkpoint directory: deletes *.tmp.* temps and
+/// Scrubs a pmacx-ckpt-v3 checkpoint directory: deletes *.tmp.* temps and
 /// any manifest/chunk that fails its integrity trailer.  A missing or
 /// freshly-emptied directory is fine (the next fit rebuilds it).
 ScrubReport scrub_checkpoint_dir(const std::string& dir);

@@ -5,7 +5,6 @@
 
 #include "memsim/hierarchy.hpp"
 #include "memsim/threaded.hpp"
-#include "memsim/working_set.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -76,7 +75,6 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     return flat ? flat->scope(scope_id) : threaded->scope(scope_id);
   };
 
-  memsim::WorkingSetTracker working_set(options.target.line_bytes());
   const std::size_t levels = options.target.levels.size();
 
   trace::TaskTrace task;
@@ -120,7 +118,6 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     }
 
     const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel.mem_instructions, 1);
-    working_set.set_scope(kernel.block_id);
     for (std::uint64_t i = 0; i < sim_refs; ++i) {
       // Chunked instruction attribution: instruction k owns the k-th slice
       // of the kernel's reference stream, so early instructions absorb the
@@ -132,7 +129,6 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
       const auto thread = static_cast<std::uint32_t>(i % threads);
       const memsim::MemRef ref = streams[thread].next();
       access(thread, ref);
-      working_set.touch(ref.addr, ref.size);
     }
 
     // Merge instruction scopes into the block aggregate.

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,9 +26,14 @@ struct SourceLocation {
   bool operator==(const SourceLocation&) const = default;
 };
 
+/// Largest valid instruction index.  Alignment keys an instruction by its
+/// index as a signed 32-bit value, where -1 marks a block-level element, so
+/// a larger index would be read back as a block's own features.
+inline constexpr std::uint32_t kMaxInstrIndex = std::numeric_limits<std::int32_t>::max();
+
 /// One instruction's dynamic summary inside a block.
 struct InstructionRecord {
-  std::uint32_t index = 0;  ///< position within the block
+  std::uint32_t index = 0;  ///< position within the block, ≤ kMaxInstrIndex
   InstrFeatures features{};
 
   double get(InstrElement element) const {

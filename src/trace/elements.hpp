@@ -32,7 +32,7 @@ enum class BlockElement : std::size_t {
   HitRateL1,        ///< cumulative target-system hit rate at L1
   HitRateL2,        ///< cumulative target-system hit rate at ≤ L2
   HitRateL3,        ///< cumulative target-system hit rate at ≤ L3
-  WorkingSetBytes,  ///< distinct bytes touched by the block
+  WorkingSetBytes,  ///< size of the block's data region (its kernel's footprint)
   Ilp,              ///< mean instruction-level parallelism (independent ops/cycle window)
   DepChainLength,   ///< mean data-dependency chain length in the block
   kCount

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "trace/stream_reader.hpp"
@@ -104,6 +105,8 @@ void TaskTrace::validate() const {
     const InstructionRecord* previous_instr = nullptr;
     for (const InstructionRecord& instr : block.instructions) {
       const std::string iwhere = where + " instr " + std::to_string(instr.index);
+      PMACX_CHECK(instr.index <= kMaxInstrIndex,
+                  iwhere + ": instruction index exceeds " + std::to_string(kMaxInstrIndex));
       if (previous_instr != nullptr)
         PMACX_CHECK(previous_instr->index < instr.index,
                     iwhere + ": instruction indices must be sorted and unique");
@@ -232,8 +235,11 @@ void parse_text(LineReader& reader, std::size_t text_size, StreamSink& sink) {
       PMACX_CHECK(instr_fields.size() == 2 + kInstrElementCount,
                   "instr feature arity mismatch at line " + std::to_string(reader.line_number()));
       InstructionRecord instr;
-      instr.index = static_cast<std::uint32_t>(
-          util::parse_u64(instr_fields[1], "instr index"));
+      const std::uint64_t index = util::parse_u64(instr_fields[1], "instr index");
+      PMACX_CHECK(index <= std::numeric_limits<std::uint32_t>::max(),
+                  "instr index " + instr_fields[1] + " does not fit in 32 bits at line " +
+                      std::to_string(reader.line_number()));
+      instr.index = static_cast<std::uint32_t>(index);
       for (std::size_t e = 0; e < kInstrElementCount; ++e)
         instr.features[e] = util::parse_double(instr_fields[2 + e], "instr feature");
       block.instructions.push_back(std::move(instr));

@@ -36,8 +36,9 @@ struct TaskTrace {
   void sort_blocks();
 
   /// Structural sanity check: positive core count, rank < cores, sorted
-  /// unique block ids, finite features, hit rates in [0,1] and cumulative
-  /// (L1 ≤ L2 ≤ L3), non-negative counts.  Throws util::Error naming the
+  /// unique block ids, sorted unique instruction indices ≤ kMaxInstrIndex,
+  /// finite features, hit rates in [0,1] and cumulative (L1 ≤ L2 ≤ L3),
+  /// non-negative counts.  Throws util::Error naming the
   /// offending block/element.  Tools run this on every loaded file so a
   /// corrupted or hand-edited trace fails loudly, not deep inside a fit.
   void validate() const;

@@ -1,6 +1,6 @@
 // util::io — the one gate every durable-state byte passes through.
 //
-// The serving stack keeps real on-disk state (ckpt-v2 checkpoints, ingest
+// The serving stack keeps real on-disk state (ckpt-v3 checkpoints, ingest
 // spools, collection manifests, atomically published traces), and every
 // byte of it used to reach the kernel through bare ::open/::write/::fsync
 // calls that assumed storage never fails.  This header is the storage-side

@@ -67,6 +67,14 @@ TEST(AlignTest, FullOverlapAlignsEverything) {
   }
 }
 
+TEST(AlignTest, RejectsInstructionIndexBeyondInt32) {
+  // ElementKey stores the index as int32 with -1 marking a block-level
+  // element: index 0xFFFFFFFF would come back as the block's own features.
+  std::vector<TaskTrace> traces = {make_trace(2, {1}), make_trace(4, {1})};
+  for (TaskTrace& task : traces) task.blocks[0].instructions[0].index = 0xFFFFFFFFu;
+  EXPECT_THROW(align_traces(traces, MissingPolicy::ZeroFill), util::Error);
+}
+
 TEST(AlignTest, DropPolicyExcludesPartialBlocks) {
   const std::vector<TaskTrace> traces = {make_trace(2, {1, 2}), make_trace(4, {1})};
   const auto alignment = align_traces(traces, MissingPolicy::Drop);

@@ -180,6 +180,35 @@ TEST(ExtrapolatorTest, InfluenceFollowsPaperRule) {
   for (const auto& fit : none.report.elements) EXPECT_FALSE(fit.influential);
 }
 
+TEST(ExtrapolatorTest, InfluenceKeysInstructionsByBlockAndIndex) {
+  // Block 1's instruction 4096 carries nearly every memory op; block 2's
+  // instruction 0 carries one.  Each keeps its own influence flag.
+  std::vector<TaskTrace> series = law_series();
+  for (TaskTrace& task : series) {
+    task.blocks[0].instructions[0].index = 4096;
+    trace::InstructionRecord light;
+    light.index = 0;
+    light.set(InstrElement::ExecCount, 1.0);
+    light.set(InstrElement::MemOps, 1.0);
+    light.set(InstrElement::BytesPerOp, 8.0);
+    task.blocks[1].instructions.push_back(light);
+  }
+  const auto result = extrapolate_task(series, 8192);
+  std::size_t heavy = 0, light = 0;
+  for (const auto& fit : result.report.elements) {
+    if (fit.key.block_id == 1 && fit.key.instr_index == 4096) {
+      EXPECT_TRUE(fit.influential) << fit.key.describe();
+      ++heavy;
+    }
+    if (fit.key.block_id == 2 && fit.key.instr_index == 0) {
+      EXPECT_FALSE(fit.influential) << fit.key.describe();
+      ++light;
+    }
+  }
+  EXPECT_EQ(heavy, trace::kInstrElementCount);
+  EXPECT_EQ(light, trace::kInstrElementCount);
+}
+
 TEST(ExtrapolatorTest, ReportCoversEveryElement) {
   const auto result = extrapolate_task(law_series(), 8192);
   // 2 blocks × block elements + 1 instruction × instr elements.

@@ -1,9 +1,9 @@
 // Incremental refit tests: fit_task_models_incremental must be byte-for-byte
 // equivalent to a cold fit_task_models over the same inputs — model
 // parameters, point traces, interval traces, everything — for every upload
-// order a live server could see, while provably doing less work (reuse and
-// O(1) moment-extension counters).  Plus the pmacx-ckpt-v2 persistence of
-// the per-element sufficient statistics the reuse decisions stand on.
+// order a live server could see, while provably doing less work (reuse
+// counters).  Plus the pmacx-ckpt-v3 round trip of every field a fitted
+// element keeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,37 +73,43 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
 bool bits_equal(const std::array<double, 3>& a, const std::array<double, 3>& b) {
   return std::memcmp(a.data(), b.data(), sizeof a) == 0;
 }
 
-/// Byte-for-byte equality of two fitted sets: every candidate parameter,
-/// score, series, and moment block compared bitwise (EXPECT_EQ on doubles
-/// would accept 0.0 == -0.0 and reject NaN == NaN — both wrong here).
+/// Bitwise equality of every field of two fitted elements: series, scores,
+/// influence, and each candidate's form, status, parameters, SSE, and R²
+/// (EXPECT_EQ on doubles would accept 0.0 == -0.0 and reject NaN == NaN —
+/// both wrong here).
+void expect_same_element(const core::ElementModels& ma, const core::ElementModels& mb,
+                         std::size_t i) {
+  EXPECT_TRUE(bits_equal(ma.fit_axis, mb.fit_axis)) << "element " << i;
+  EXPECT_TRUE(bits_equal(ma.fit_values, mb.fit_values)) << "element " << i;
+  EXPECT_TRUE(bits_equal(ma.scores, mb.scores)) << "element " << i;
+  EXPECT_EQ(ma.influential, mb.influential) << "element " << i;
+  ASSERT_EQ(ma.candidates.size(), mb.candidates.size()) << "element " << i;
+  for (std::size_t c = 0; c < ma.candidates.size(); ++c) {
+    const stats::FittedModel& fa = ma.candidates[c];
+    const stats::FittedModel& fb = mb.candidates[c];
+    EXPECT_EQ(fa.form, fb.form) << "element " << i << " candidate " << c;
+    EXPECT_EQ(fa.ok, fb.ok) << "element " << i << " candidate " << c;
+    EXPECT_TRUE(bits_equal(fa.params, fb.params)) << "element " << i << " candidate " << c;
+    EXPECT_TRUE(bits_equal(fa.sse, fb.sse)) << "element " << i << " candidate " << c;
+    EXPECT_TRUE(bits_equal(fa.r2, fb.r2)) << "element " << i << " candidate " << c;
+  }
+}
+
+/// Byte-for-byte equality of two fitted sets.
 void expect_identical(const TaskModelSet& a, const TaskModelSet& b) {
   EXPECT_EQ(a.app, b.app);
   EXPECT_EQ(a.rank, b.rank);
   EXPECT_EQ(a.target_system, b.target_system);
   EXPECT_EQ(a.axis_name, b.axis_name);
   ASSERT_EQ(a.models.size(), b.models.size());
-  for (std::size_t i = 0; i < a.models.size(); ++i) {
-    const core::ElementModels& ma = a.models[i];
-    const core::ElementModels& mb = b.models[i];
-    EXPECT_TRUE(bits_equal(ma.fit_axis, mb.fit_axis)) << "element " << i;
-    EXPECT_TRUE(bits_equal(ma.fit_values, mb.fit_values)) << "element " << i;
-    EXPECT_TRUE(bits_equal(ma.scores, mb.scores)) << "element " << i;
-    EXPECT_EQ(ma.influential, mb.influential) << "element " << i;
-    EXPECT_EQ(ma.moments, mb.moments) << "element " << i;
-    ASSERT_EQ(ma.candidates.size(), mb.candidates.size()) << "element " << i;
-    for (std::size_t c = 0; c < ma.candidates.size(); ++c) {
-      const stats::FittedModel& fa = ma.candidates[c];
-      const stats::FittedModel& fb = mb.candidates[c];
-      EXPECT_EQ(fa.form, fb.form);
-      EXPECT_TRUE(bits_equal(fa.params, fb.params))
-          << "element " << i << " candidate " << c;
-      EXPECT_EQ(fa.ok, fb.ok);
-    }
-  }
+  for (std::size_t i = 0; i < a.models.size(); ++i)
+    expect_same_element(a.models[i], b.models[i], i);
 }
 
 /// End-to-end check: the sets answer extrapolation queries (point and
@@ -178,20 +184,20 @@ TEST(IncrementalFitTest, MatchesColdFitForEveryUploadOrder) {
   }
 }
 
-TEST(IncrementalFitTest, AscendingAppendExtendsMomentsInsteadOfRebuilding) {
+TEST(IncrementalFitTest, AscendingAppendRefitsEveryGrownSeries) {
   std::vector<TaskTrace> inputs = {law_trace(16), law_trace(32), law_trace(64)};
   const ExtrapolationOptions options = serial_options();
   const TaskModelSet previous = core::fit_task_models(inputs, options);
 
-  inputs.push_back(law_trace(128));  // appends at the high end: pure suffix
+  inputs.push_back(law_trace(128));  // every element's series gains a sample
   IncrementalFitStats stats;
   const TaskModelSet extended =
       core::fit_task_models_incremental(inputs, options, &previous, &stats);
 
   expect_identical(extended, core::fit_task_models(inputs, options));
   EXPECT_FALSE(stats.cold);
-  EXPECT_GT(stats.moments_extended, 0u);
-  EXPECT_GT(stats.elements_refit, 0u);
+  EXPECT_EQ(stats.elements_reused, 0u);
+  EXPECT_EQ(stats.elements_refit, stats.elements_total);
 }
 
 TEST(IncrementalFitTest, IdenticalReuploadReusesEveryElement) {
@@ -224,14 +230,14 @@ TEST(IncrementalFitTest, IncompatiblePreviousDegradesToColdFitNotWrongModels) {
   expect_identical(result, core::fit_task_models(inputs, options));
 }
 
-TEST(IncrementalFitTest, CheckpointV2PersistsSufficientStatistics) {
+TEST(IncrementalFitTest, CheckpointV3RoundTripsEveryFieldBitwise) {
   const std::vector<TaskTrace> inputs = {law_trace(16), law_trace(32), law_trace(64)};
   const ExtrapolationOptions options = serial_options();
   const TaskModelSet fitted = core::fit_task_models(inputs, options);
   ASSERT_FALSE(fitted.models.empty());
 
   core::CheckpointConfig config;
-  config.dir = testing::TempDir() + "inc_ckpt_v2";
+  config.dir = testing::TempDir() + "inc_ckpt_v3";
   config.digest = core::models_digest_for_traces(inputs, options);
   config.chunk_elements = 8;
   core::ModelCheckpoint store(config);
@@ -247,13 +253,8 @@ TEST(IncrementalFitTest, CheckpointV2PersistsSufficientStatistics) {
     ASSERT_TRUE(loaded.has_value()) << "chunk " << chunk;
     const std::size_t begin = store.chunk_begin(chunk);
     ASSERT_EQ(loaded->size(), store.chunk_end(chunk) - begin);
-    for (std::size_t i = 0; i < loaded->size(); ++i) {
-      // The v2 payload: per-element sufficient statistics survive the disk
-      // round trip bit-exactly, fingerprint included — a resumed server can
-      // extend them instead of re-reading every earlier trace.
-      EXPECT_EQ((*loaded)[i].moments, fitted.models[begin + i].moments);
-      EXPECT_TRUE(bits_equal((*loaded)[i].fit_values, fitted.models[begin + i].fit_values));
-    }
+    for (std::size_t i = 0; i < loaded->size(); ++i)
+      expect_same_element((*loaded)[i], fitted.models[begin + i], begin + i);
   }
 }
 

@@ -1,0 +1,252 @@
+// Golden-digest corpus: pins the observable outputs of the trace → fit →
+// extrapolate → predict pipeline to a committed digest file
+// (tests/golden_corpus.digests), so a refactor that claims to change no
+// behaviour can prove it with one ctest.
+//
+//   trace.<app>.<target>.<mode>  v002 bytes of one collected task trace
+//                                (3 apps × 2 targets × pure-MPI/hybrid)
+//   extrap.*                     the extrapolated trace, its FitReport CSV,
+//                                and its 0.9-coverage lo/median/hi traces
+//   predict.<input>.*            the rendered PREDICT body, plus the bit
+//                                patterns of every PredictionResult double
+//                                (the body rounds to 3 decimals)
+//   counter.<name>               every nonzero counter of the trace →
+//                                extrapolate → predict flow, except
+//                                fits.simd_batches (zero without AVX2)
+//
+// Artifacts are recorded as "<name> <bytes> <fnv1a-64>", counters as
+// "<name> <value>".  On a mismatch the test prints the line that would
+// replace the committed one.  There is no update mode: a changed golden is
+// a reviewed edit of the digest file.
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/extrapolator.hpp"
+#include "machine/profile.hpp"
+#include "machine/targets.hpp"
+#include "psins/predictor.hpp"
+#include "synth/registry.hpp"
+#include "synth/tracer.hpp"
+#include "trace/binary_io.hpp"
+#include "util/metrics.hpp"
+
+#ifndef PMACX_GOLDEN_CORPUS
+#error "PMACX_GOLDEN_CORPUS must name the committed digest file"
+#endif
+
+namespace pmacx {
+namespace {
+
+constexpr std::uint64_t kMaxRefsPerKernel = 20'000;
+constexpr std::uint32_t kHybridThreads = 4;
+constexpr std::uint32_t kCorpusCores = 64;
+
+// The extrapolation flow: specfem3d on bluewaters-p1, pure MPI.
+constexpr const char* kFlowApp = "specfem3d";
+constexpr const char* kFlowTarget = "bluewaters-p1";
+constexpr std::uint32_t kFlowInputs[] = {16, 32, 64};
+constexpr std::uint32_t kFlowTargetCores = 256;
+constexpr double kFlowCoverage = 0.9;
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+std::string artifact_line(const std::string& name, std::string_view bytes) {
+  char digest[17];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(fnv1a64(bytes)));
+  return name + " " + std::to_string(bytes.size()) + " " + digest;
+}
+
+void append_bits(std::string& out, double v) {
+  char raw[sizeof v];
+  std::memcpy(raw, &v, sizeof v);
+  out.append(raw, sizeof v);
+}
+
+/// Raw IEEE-754 bytes of every double (and the block ids) of a prediction.
+std::string prediction_bits(const psins::PredictionResult& p) {
+  std::string out;
+  append_bits(out, p.runtime_seconds);
+  append_bits(out, p.compute_seconds);
+  append_bits(out, p.comm_seconds);
+  out.push_back(p.from_extrapolated_trace ? 1 : 0);
+  append_bits(out, p.blocks.seconds);
+  for (const psins::BlockTime& block : p.blocks.blocks) {
+    out.append(reinterpret_cast<const char*>(&block.block_id), sizeof block.block_id);
+    append_bits(out, block.memory_seconds);
+    append_bits(out, block.fp_seconds);
+    append_bits(out, block.block_seconds);
+    append_bits(out, block.bandwidth_bytes_per_s);
+  }
+  return out;
+}
+
+synth::TracerOptions tracer_options(const std::string& target, std::uint32_t threads) {
+  synth::TracerOptions options;
+  options.target = machine::target_by_name(target).hierarchy;
+  options.max_refs_per_kernel = kMaxRefsPerKernel;
+  options.threads_per_rank = threads;
+  return options;
+}
+
+trace::TaskTrace collect(const synth::SyntheticApp& app, const std::string& target,
+                         std::uint32_t cores, std::uint32_t threads) {
+  return synth::trace_task(app, cores, app.demanding_rank(cores),
+                           tracer_options(target, threads));
+}
+
+/// The PREDICT computation the serving layer runs: the task trace as the
+/// demanding rank, comm traces for every rank from the app model.
+psins::PredictionResult predict(const synth::SyntheticApp& app, const trace::TaskTrace& task,
+                                const machine::MachineProfile& profile) {
+  trace::AppSignature signature;
+  signature.app = task.app;
+  signature.core_count = task.core_count;
+  signature.target_system = task.target_system;
+  signature.demanding_rank = task.rank;
+  signature.tasks.push_back(task);
+  for (std::uint32_t rank = 0; rank < task.core_count; ++rank)
+    signature.comm.push_back(app.comm_trace(task.core_count, rank));
+  signature.validate();
+  return psins::predict(signature, profile);
+}
+
+machine::MultiMapsOptions fast_probe() {
+  machine::MultiMapsOptions options;
+  options.working_sets = {16ull << 10, 256ull << 10, 4ull << 20, 32ull << 20};
+  options.strides = {1, 8};
+  options.min_refs_per_probe = 50'000;
+  options.max_refs_per_probe = 200'000;
+  return options;
+}
+
+/// Every corpus line, by section, computed once per process.
+struct Corpus {
+  std::vector<std::string> traces;
+  std::vector<std::string> extrapolation;
+  std::vector<std::string> predictions;
+  std::vector<std::string> counters;
+};
+
+Corpus compute_corpus() {
+  Corpus corpus;
+  const machine::MachineProfile profile =
+      machine::build_profile(machine::target_by_name(kFlowTarget), fast_probe());
+
+  // The counted flow runs first, on a zeroed registry.
+  util::metrics::Registry& registry = util::metrics::Registry::global();
+  registry.reset();
+  const auto flow_app = synth::make_app(kFlowApp);
+  std::vector<trace::TaskTrace> inputs;
+  for (const std::uint32_t cores : kFlowInputs)
+    inputs.push_back(collect(*flow_app, kFlowTarget, cores, 1));
+
+  core::ExtrapolationOptions options;
+  options.interval_coverage = kFlowCoverage;
+  const core::ExtrapolationResult result =
+      core::extrapolate_task(inputs, kFlowTargetCores, options);
+  corpus.extrapolation = {
+      artifact_line("extrap.trace", trace::to_binary(result.trace)),
+      artifact_line("extrap.report_csv", result.report.to_csv()),
+      artifact_line("extrap.trace_lo", trace::to_binary(result.trace_lo)),
+      artifact_line("extrap.trace_median", trace::to_binary(result.trace_median)),
+      artifact_line("extrap.trace_hi", trace::to_binary(result.trace_hi)),
+  };
+
+  const std::pair<const char*, const trace::TaskTrace*> predicted[] = {
+      {"predict.extrap", &result.trace}, {"predict.collected", &inputs.back()}};
+  for (const auto& [name, task] : predicted) {
+    const psins::PredictionResult prediction = predict(*flow_app, *task, profile);
+    corpus.predictions.push_back(artifact_line(
+        std::string(name) + ".body",
+        psins::render_prediction(*task, profile.system.name, prediction)));
+    corpus.predictions.push_back(
+        artifact_line(std::string(name) + ".doubles", prediction_bits(prediction)));
+  }
+
+  for (const auto& [name, value] : registry.snapshot().counters) {
+    if (value == 0 || name == "fits.simd_batches") continue;
+    corpus.counters.push_back("counter." + name + " " + std::to_string(value));
+  }
+
+  for (const char* app_name : {"specfem3d", "uh3d", "hpcg"}) {
+    const auto app = synth::make_app(app_name);
+    for (const char* target : {"bluewaters-p1", "cray-xt5"}) {
+      for (const std::uint32_t threads : {1u, kHybridThreads}) {
+        const std::string name = std::string("trace.") + app_name + "." + target + "." +
+                                 (threads == 1 ? "mpi" : "hybrid");
+        corpus.traces.push_back(artifact_line(
+            name, trace::to_binary(collect(*app, target, kCorpusCores, threads))));
+      }
+    }
+  }
+  return corpus;
+}
+
+const Corpus& corpus() {
+  static const Corpus computed = compute_corpus();
+  return computed;
+}
+
+/// The committed digest file as name → full line.
+std::map<std::string, std::string> committed(const std::string& prefix) {
+  std::ifstream in(PMACX_GOLDEN_CORPUS);
+  EXPECT_TRUE(in.good()) << "cannot read " << PMACX_GOLDEN_CORPUS;
+  std::map<std::string, std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::string name = line.substr(0, line.find(' '));
+    if (name.rfind(prefix, 0) == 0) lines[name] = line;
+  }
+  return lines;
+}
+
+/// Compares one section against the committed file, line by line.  A
+/// mismatch prints the replacement line; a stale committed line (an
+/// artifact or counter the code no longer produces) is a failure too.
+void expect_section(const std::string& prefix, const std::vector<std::string>& actual) {
+  std::map<std::string, std::string> expected = committed(prefix);
+  ASSERT_FALSE(actual.empty());
+  for (const std::string& line : actual) {
+    const std::string name = line.substr(0, line.find(' '));
+    const auto it = expected.find(name);
+    if (it == expected.end()) {
+      ADD_FAILURE() << name << " is missing from the golden corpus; add:\n" << line;
+      continue;
+    }
+    EXPECT_EQ(it->second, line) << name << " changed; replacement line:\n" << line;
+    expected.erase(it);
+  }
+  for (const auto& [name, line] : expected)
+    ADD_FAILURE() << "golden line no longer produced; remove:\n" << line;
+}
+
+TEST(GoldenCorpusTest, CollectedTraces) { expect_section("trace.", corpus().traces); }
+
+TEST(GoldenCorpusTest, ExtrapolatedTraceReportAndIntervals) {
+  expect_section("extrap.", corpus().extrapolation);
+}
+
+TEST(GoldenCorpusTest, PredictBodiesAndDoubles) {
+  expect_section("predict.", corpus().predictions);
+}
+
+TEST(GoldenCorpusTest, FlowCounters) { expect_section("counter.", corpus().counters); }
+
+}  // namespace
+}  // namespace pmacx

@@ -1,9 +1,7 @@
-// Unit tests for the multi-level hierarchy, scope accounting and the
-// working-set tracker.
+// Unit tests for the multi-level hierarchy and scope accounting.
 #include <gtest/gtest.h>
 
 #include "memsim/hierarchy.hpp"
-#include "memsim/working_set.hpp"
 #include "util/error.hpp"
 
 namespace pmacx {
@@ -140,49 +138,6 @@ TEST(HierarchyTest, HitRateOfEmptyCountersIsZero) {
   AccessCounters c;
   EXPECT_DOUBLE_EQ(c.cumulative_hit_rate(0), 0.0);
   EXPECT_THROW(c.cumulative_hit_rate(99), util::Error);
-}
-
-// ------------------------------------------------------------ working set ----
-
-TEST(WorkingSetTest, CountsDistinctLines) {
-  memsim::WorkingSetTracker ws(64);
-  ws.touch(0, 8);
-  ws.touch(8, 8);    // same line
-  ws.touch(64, 8);   // second line
-  EXPECT_EQ(ws.total_lines(), 2u);
-  EXPECT_EQ(ws.total_bytes(), 128u);
-}
-
-TEST(WorkingSetTest, StraddleCountsBothLines) {
-  memsim::WorkingSetTracker ws(64);
-  ws.touch(60, 8);
-  EXPECT_EQ(ws.total_lines(), 2u);
-}
-
-TEST(WorkingSetTest, PerScopeFootprints) {
-  memsim::WorkingSetTracker ws(64);
-  ws.set_scope(1);
-  ws.touch(0, 8);
-  ws.set_scope(2);
-  ws.touch(0, 8);
-  ws.touch(128, 8);
-  EXPECT_EQ(ws.scope_bytes(1), 64u);
-  EXPECT_EQ(ws.scope_bytes(2), 128u);
-  EXPECT_EQ(ws.scope_bytes(3), 0u);
-  EXPECT_EQ(ws.total_bytes(), 128u);  // line 0 shared between scopes
-}
-
-TEST(WorkingSetTest, ResetForgets) {
-  memsim::WorkingSetTracker ws(64);
-  ws.touch(0, 8);
-  ws.reset();
-  EXPECT_EQ(ws.total_bytes(), 0u);
-}
-
-TEST(WorkingSetTest, RejectsBadLineSizeAndZeroTouch) {
-  EXPECT_THROW(memsim::WorkingSetTracker(48), util::Error);
-  memsim::WorkingSetTracker ws(64);
-  EXPECT_THROW(ws.touch(0, 0), util::Error);
 }
 
 }  // namespace

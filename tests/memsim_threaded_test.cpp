@@ -103,6 +103,7 @@ TEST(ThreadedTest, Validation) {
   EXPECT_THROW(ThreadedHierarchy(two_level(), 2, 5), util::Error);
   ThreadedHierarchy h(two_level(), 2, 1);
   EXPECT_THROW(h.access(7, load(0)), util::Error);
+  EXPECT_THROW(h.access(0, MemRef{0, 0, false}), util::Error);  // zero-size ref
   HierarchyConfig with_prefetch = two_level();
   with_prefetch.prefetch.enabled = true;
   EXPECT_THROW(ThreadedHierarchy(with_prefetch, 2, 1), util::Error);

@@ -808,8 +808,8 @@ TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   const auto first = core::fit_task_models_checkpointed(series, {}, config, nullptr);
   const std::string golden = checkpoint_golden_bytes(first);
 
-  // Forge a manifest from a hypothetical older format version.  The CRC
-  // trailer is valid — only the version string disagrees — so this is the
+  // Forge a manifest from the predecessor format version.  The CRC trailer
+  // is valid — only the version string disagrees — so this is the
   // "software upgraded across a resume" case, not corruption.
   std::string payload;
   auto put_str = [&payload](const std::string& s) {
@@ -820,17 +820,20 @@ TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   auto put_u64 = [&payload](std::uint64_t v) {
     payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
   };
-  put_str("pmacx-ckpt-v0");
+  put_str("pmacx-ckpt-v2");
   put_str(config.digest);
-  put_u64(6);
-  put_u64(2);
+  put_u64(first.models.size());
+  put_u64(config.chunk_elements);
   util::save_checked(dir + "/manifest.ckpt", payload);
+  const std::string first_chunk = util::read_file(dir + "/models_000000.ckpt");
 
   core::CheckpointStats stats;
   const auto refit = core::fit_task_models_checkpointed(series, {}, config, &stats);
   EXPECT_EQ(stats.elements_reused, 0u) << "stale-version chunks must never be reused";
   EXPECT_EQ(stats.elements_fitted, stats.elements_total);
   EXPECT_EQ(checkpoint_golden_bytes(refit), golden);
+  // The refit rewrites the chunk with bitwise the same models.
+  EXPECT_EQ(util::read_file(dir + "/models_000000.ckpt"), first_chunk);
   std::filesystem::remove_all(dir);
 }
 

@@ -8,12 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "trace/binary_io.hpp"
 #include "trace/comm.hpp"
 #include "trace/elements.hpp"
 #include "trace/signature.hpp"
+#include "trace/stream_reader.hpp"
 #include "trace/task_trace.hpp"
 #include "util/error.hpp"
 #include "util/parse_error.hpp"
@@ -177,6 +179,14 @@ TEST(TaskTraceTest, RejectsArityMismatch) {
   EXPECT_THROW(TaskTrace::from_text(text), util::Error);
 }
 
+TEST(TaskTraceTest, RejectsInstructionIndexWiderThan32Bits) {
+  std::string text = sample_trace().to_text();
+  const auto pos = text.find("\ni\t2\t");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 5, "\ni\t4294967298\t");  // 2^32 + 2, not index 2
+  EXPECT_THROW(TaskTrace::from_text(text), util::Error);
+}
+
 TEST(TaskTraceTest, LoadMissingFileThrows) {
   EXPECT_THROW(TaskTrace::load("/nonexistent/path/x.trace"), util::Error);
 }
@@ -226,6 +236,19 @@ TEST(ValidateTest, RejectsUnsortedInstructions) {
   trace::InstructionRecord dup = task.blocks[1].instructions[0];
   task.blocks[1].instructions.push_back(dup);  // duplicate index
   EXPECT_THROW(task.validate(), util::Error);
+}
+
+TEST(ValidateTest, RejectsInstructionIndexBeyondInt32) {
+  // Alignment keys an instruction by a signed 32-bit index, -1 marking a
+  // block-level element, so a larger index would alias the block's features.
+  TaskTrace task = sample_trace();
+  task.blocks[1].instructions[0].index = std::numeric_limits<std::int32_t>::max();
+  EXPECT_NO_THROW(task.validate());
+  task.blocks[1].instructions[0].index = 0xFFFFFFFFu;
+  EXPECT_THROW(task.validate(), util::Error);
+  // UPLOAD_TRACE's streaming validator applies the same rule.
+  const std::string bytes = trace::to_binary(task);
+  EXPECT_THROW(trace::stream_validate(*trace::make_view_source(bytes)), util::Error);
 }
 
 // --------------------------------------------------------- binary format ----

@@ -73,7 +73,7 @@ void usage() {
       "  --metrics-json <file>  write a pmacx-metrics-v1 snapshot (counters,\n"
       "                         stage timings, run manifest) to this file\n"
       "  --checkpoint-dir <dir> crash-safe fitting: persist fitted models in\n"
-      "                         pmacx-ckpt-v1 chunks under <dir> as they\n"
+      "                         pmacx-ckpt-v3 chunks under <dir> as they\n"
       "                         complete; a re-run after a crash re-fits only\n"
       "                         the missing chunks and produces byte-identical\n"
       "                         output.  Stale checkpoints (different inputs\n"
