@@ -2,34 +2,19 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
-#include "util/error.hpp"
 #include "util/io.hpp"
 #include "util/rng.hpp"
 
 namespace pmacx::service {
 namespace {
-
-/// Poll interval for the accept loop and pump reads; bounds how long stop()
-/// can go unnoticed.
-constexpr int kPollMs = 100;
-
-void set_io_timeouts(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 /// Arms abortive close: once set, close() discards pending data and (for an
 /// established connection) answers the peer with RST instead of FIN.
@@ -40,135 +25,56 @@ void set_linger_abort(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
 }
 
-/// Sends exactly [data, data+size) or reports failure; EINTR is retried
-/// (bounded, via util::io), everything else (timeout, EPIPE, a killed
-/// relay) ends the pump.
-bool send_range(int fd, const char* data, std::size_t size) {
-  return util::io::socket_send_all(fd, data, size);
-}
-
 void sleep_ms(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
 }  // namespace
 
-ChaosProxy::ChaosProxy(ChaosOptions options) : options_(std::move(options)) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  PMACX_CHECK(listen_fd_ >= 0, std::string("socket(): ") + std::strerror(errno));
-
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  PMACX_CHECK(::inet_pton(AF_INET, options_.bind.c_str(), &addr.sin_addr) == 1,
-              "bad bind address '" + options_.bind + "'");
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw util::Error("chaos proxy bind " + options_.bind + ":" +
-                      std::to_string(options_.port) + ": " + reason);
-  }
-
-  sockaddr_in bound{};
-  socklen_t bound_size = sizeof(bound);
-  PMACX_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_size) == 0,
-              "getsockname failed");
-  port_ = ntohs(bound.sin_port);
-}
-
-ChaosProxy::~ChaosProxy() {
-  stop();
-  wait();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
+ChaosProxy::ChaosProxy(ChaosOptions options)
+    : options_(std::move(options)),
+      listener_(options_.bind, options_.port, "chaos", Listener::kPollMs) {}
 
 void ChaosProxy::start() {
-  PMACX_CHECK(!accepting_.exchange(true), "ChaosProxy::start called twice");
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  listener_.start([this](int fd) { relay(fd); });
 }
 
-void ChaosProxy::accept_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;  // timeout (stop re-check) or EINTR
-
-    const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (client_fd < 0) continue;
-
-    // Dial the real server.  Loopback connect is fast enough to do inline.
-    sockaddr_in upstream{};
-    upstream.sin_family = AF_INET;
-    upstream.sin_port = htons(options_.upstream_port);
-    const int upstream_fd =
-        ::inet_pton(AF_INET, options_.upstream_host.c_str(), &upstream.sin_addr) == 1
-            ? ::socket(AF_INET, SOCK_STREAM, 0)
-            : -1;
-    if (upstream_fd < 0 ||
-        ::connect(upstream_fd, reinterpret_cast<const sockaddr*>(&upstream),
-                  sizeof(upstream)) != 0) {
-      stats_.upstream_failures.fetch_add(1, std::memory_order_relaxed);
-      if (upstream_fd >= 0) ::close(upstream_fd);
-      set_linger_abort(client_fd);  // the client sees the outage as a reset
-      ::close(client_fd);
-      continue;
-    }
-    set_io_timeouts(client_fd, kPollMs);
-    set_io_timeouts(upstream_fd, kPollMs);
-    stats_.connections.fetch_add(1, std::memory_order_relaxed);
-
-    std::scoped_lock lock(relays_mutex_);
-    const std::uint64_t id = next_relay_id_++;
-    Relay& relay = relays_[id];
-    relay.client_fd = client_fd;
-    relay.upstream_fd = upstream_fd;
-    relay.pumps_live.store(2, std::memory_order_relaxed);
-    // Independent fault streams per connection and per direction, all
-    // reproducible from the root seed.
-    const std::uint64_t conn_seed = util::derive_seed(options_.seed, id);
-    relay.to_upstream = std::thread([this, id, client_fd, upstream_fd, conn_seed] {
-      pump(id, client_fd, upstream_fd, util::derive_seed(conn_seed, 0));
-    });
-    relay.to_client = std::thread([this, id, client_fd, upstream_fd, conn_seed] {
-      pump(id, upstream_fd, client_fd, util::derive_seed(conn_seed, 1));
-    });
+void ChaosProxy::relay(int client_fd) {
+  // Dial the real server.
+  sockaddr_in upstream{};
+  upstream.sin_family = AF_INET;
+  upstream.sin_port = htons(options_.upstream_port);
+  const int upstream_fd =
+      ::inet_pton(AF_INET, options_.upstream_host.c_str(), &upstream.sin_addr) == 1
+          ? ::socket(AF_INET, SOCK_STREAM, 0)
+          : -1;
+  if (upstream_fd < 0 ||
+      ::connect(upstream_fd, reinterpret_cast<const sockaddr*>(&upstream),
+                sizeof(upstream)) != 0) {
+    stats_.upstream_failures.fetch_add(1, std::memory_order_relaxed);
+    if (upstream_fd >= 0) ::close(upstream_fd);
+    set_linger_abort(client_fd);  // the client sees the outage as a reset
+    return;
   }
+  util::io::set_socket_timeouts(upstream_fd, Listener::kPollMs, Listener::kPollMs);
+  stats_.connections.fetch_add(1, std::memory_order_relaxed);
 
-  // Stopping: abort every live relay so the pump threads unblock promptly.
-  std::scoped_lock lock(relays_mutex_);
-  for (auto& [id, relay] : relays_) {
-    if (relay.client_fd >= 0) ::shutdown(relay.client_fd, SHUT_RDWR);
-    if (relay.upstream_fd >= 0) ::shutdown(relay.upstream_fd, SHUT_RDWR);
-  }
+  // Independent fault streams per connection and per direction, all
+  // reproducible from the root seed.
+  const std::uint64_t conn_seed = util::derive_seed(
+      options_.seed, relays_started_.fetch_add(1, std::memory_order_relaxed));
+  std::thread to_client(
+      [&] { pump(upstream_fd, client_fd, util::derive_seed(conn_seed, 1)); });
+  pump(client_fd, upstream_fd, util::derive_seed(conn_seed, 0));
+  to_client.join();
+  ::close(upstream_fd);
 }
 
-void ChaosProxy::kill_relay(std::uint64_t id) {
-  std::scoped_lock lock(relays_mutex_);
-  auto it = relays_.find(id);
-  if (it == relays_.end()) return;
-  // Arm abortive close and wake both pumps; the actual close happens when
-  // the last pump tears the relay down, and sends RST thanks to the linger.
-  if (it->second.client_fd >= 0) {
-    set_linger_abort(it->second.client_fd);
-    ::shutdown(it->second.client_fd, SHUT_RDWR);
-  }
-  if (it->second.upstream_fd >= 0) {
-    set_linger_abort(it->second.upstream_fd);
-    ::shutdown(it->second.upstream_fd, SHUT_RDWR);
-  }
-}
-
-void ChaosProxy::pump(std::uint64_t id, int from, int to, std::uint64_t seed) {
+void ChaosProxy::pump(int from, int to, std::uint64_t seed) {
   util::Rng rng(seed);
   char buf[4096];
   bool saw_eof = false;
-  while (!stop_.load(std::memory_order_relaxed)) {
+  while (!listener_.stopping()) {
     // Short reads: drain the socket a few bytes at a time so the receiver
     // sees frames fragmented at arbitrary boundaries.
     std::size_t cap = sizeof(buf);
@@ -180,23 +86,26 @@ void ChaosProxy::pump(std::uint64_t id, int from, int to, std::uint64_t seed) {
     }
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // poll tick
-      break;  // hard error, EINTR budget exhausted, relay killed, peer reset
+      break;  // hard error, EINTR budget exhausted, relay torn down, peer reset
     }
     const std::size_t size = static_cast<std::size_t>(n);
 
-    // Terminal faults first (they end the relay for both sides).
+    // Terminal faults first: they end the relay for both sides, and the
+    // abortive close makes both peers see a hard RST, not a graceful FIN.
     double roll = rng.uniform();
     if (roll < options_.p_reset) {
       stats_.resets.fetch_add(1, std::memory_order_relaxed);
-      kill_relay(id);
+      set_linger_abort(from);
+      set_linger_abort(to);
       break;
     }
     roll -= options_.p_reset;
     if (roll < options_.p_cut && size > 1) {
       // Torn frame: a prefix makes it through, then the line goes dead.
-      send_range(to, buf, 1 + rng.below(size - 1));
+      util::io::socket_send_all(to, buf, 1 + rng.below(size - 1));
       stats_.cuts.fetch_add(1, std::memory_order_relaxed);
-      kill_relay(id);
+      set_linger_abort(from);
+      set_linger_abort(to);
       break;
     }
 
@@ -213,10 +122,10 @@ void ChaosProxy::pump(std::uint64_t id, int from, int to, std::uint64_t seed) {
       const std::size_t slow = std::min(size, options_.trickle_bytes);
       ok = true;
       for (std::size_t i = 0; ok && i < slow; ++i) {
-        ok = send_range(to, buf + i, 1);
+        ok = util::io::socket_send_all(to, buf + i, 1);
         sleep_ms(options_.trickle_delay_ms);
       }
-      if (ok && slow < size) ok = send_range(to, buf + slow, size - slow);
+      if (ok && slow < size) ok = util::io::socket_send_all(to, buf + slow, size - slow);
     } else if (rng.uniform() < options_.p_partial) {
       // Partial writes: the chunk crosses in randomly sized pieces.
       stats_.partials.fetch_add(1, std::memory_order_relaxed);
@@ -224,76 +133,30 @@ void ChaosProxy::pump(std::uint64_t id, int from, int to, std::uint64_t seed) {
       ok = true;
       while (ok && sent < size) {
         const std::size_t piece = std::min(size - sent, 1 + rng.below(16));
-        ok = send_range(to, buf + sent, piece);
+        ok = util::io::socket_send_all(to, buf + sent, piece);
         sent += piece;
       }
     } else {
-      ok = send_range(to, buf, size);
+      ok = util::io::socket_send_all(to, buf, size);
     }
     if (ok && rng.uniform() < options_.p_duplicate) {
       // Duplicated frame: the receiver's stream is now corrupt and must be
       // answered with ParseError, never a crash.
       stats_.duplicates.fetch_add(1, std::memory_order_relaxed);
-      ok = send_range(to, buf, size);
+      ok = util::io::socket_send_all(to, buf, size);
     }
     if (!ok) break;
     stats_.bytes_forwarded.fetch_add(size, std::memory_order_relaxed);
   }
-  if (saw_eof) ::shutdown(to, SHUT_WR);  // propagate the half-close
-
-  // Last pump out closes both fds and queues the relay for the reaper.
-  std::scoped_lock lock(relays_mutex_);
-  auto it = relays_.find(id);
-  if (it == relays_.end()) return;
-  if (it->second.pumps_live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    if (it->second.client_fd >= 0) ::close(it->second.client_fd);
-    if (it->second.upstream_fd >= 0) ::close(it->second.upstream_fd);
-    it->second.client_fd = it->second.upstream_fd = -1;
-    finished_.push_back(id);
+  if (saw_eof) {
+    ::shutdown(to, SHUT_WR);  // propagate the half-close
+  } else {
+    // Any other exit (a reset from the far side, a failed send, a terminal
+    // fault, stop) ends the relay for both peers now; otherwise the other
+    // peer would wait out its own I/O timeout on a relay that is dead.
+    ::shutdown(from, SHUT_RDWR);
+    ::shutdown(to, SHUT_RDWR);
   }
-}
-
-void ChaosProxy::reap_finished() {
-  std::vector<std::thread> victims;
-  {
-    std::scoped_lock lock(relays_mutex_);
-    for (std::uint64_t id : finished_) {
-      auto it = relays_.find(id);
-      if (it == relays_.end()) continue;  // wait() already took it
-      victims.push_back(std::move(it->second.to_upstream));
-      victims.push_back(std::move(it->second.to_client));
-      relays_.erase(it);
-    }
-    finished_.clear();
-  }
-  for (std::thread& victim : victims)
-    if (victim.joinable()) victim.join();
-}
-
-void ChaosProxy::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept loop has exited, so relays_ can no longer grow.  Pump
-  // threads may still be finishing: take their handles but leave the Relay
-  // entries in place until every thread has joined, because the last pump
-  // out still needs its entry to close the fds.
-  std::vector<std::thread> threads;
-  {
-    std::scoped_lock lock(relays_mutex_);
-    for (auto& [id, relay] : relays_) {
-      if (relay.to_upstream.joinable()) threads.push_back(std::move(relay.to_upstream));
-      if (relay.to_client.joinable()) threads.push_back(std::move(relay.to_client));
-    }
-  }
-  for (std::thread& thread : threads) thread.join();
-  std::scoped_lock lock(relays_mutex_);
-  for (auto& [id, relay] : relays_) {
-    // Unreachable in practice (the last pump closes both), but a relay whose
-    // pumps never ran would otherwise leak its fds.
-    if (relay.client_fd >= 0) ::close(relay.client_fd);
-    if (relay.upstream_fd >= 0) ::close(relay.upstream_fd);
-  }
-  relays_.clear();
-  finished_.clear();
 }
 
 }  // namespace pmacx::service

@@ -17,9 +17,11 @@
 //
 // Every decision draws from a util::Rng seeded hierarchically from
 // ChaosOptions::seed (per connection, per direction), so a failing seed
-// replays the exact same fault schedule.  The proxy itself is held to the
-// same robustness bar as the server: bounded bookkeeping (finished relays
-// are reaped), no leaked fds, stop()/wait() idempotent.
+// replays the exact same fault schedule.  A relay that ends any way but a
+// clean EOF is torn down on both sides, so neither peer waits out its own
+// I/O timeout on a dead link.  Client connections run on a
+// service::Listener (listener.hpp), which reaps finished relays and counts
+// them as chaos.conn.{accepted,reaped}.
 //
 // This is a test harness, linked into pmacx_chaos and the robustness tests;
 // production clients connect to the server directly.
@@ -27,11 +29,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
-#include <vector>
+
+#include "service/listener.hpp"
 
 namespace pmacx::service {
 
@@ -76,54 +76,39 @@ class ChaosProxy {
   /// Binds and listens immediately (port() is valid after construction).
   /// Throws util::Error on socket/bind/listen failure.
   explicit ChaosProxy(ChaosOptions options);
-  ~ChaosProxy();  ///< stop() + wait()
 
   ChaosProxy(const ChaosProxy&) = delete;
   ChaosProxy& operator=(const ChaosProxy&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Spawns the accept loop in a background thread.
   void start();
 
   /// Requests shutdown (atomic store only; safe from any thread).
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  void stop() { listener_.stop(); }
 
   /// Blocks until the accept loop and every relay thread have exited.
-  void wait();
+  void wait() { listener_.wait(); }
 
   const ChaosStats& stats() const { return stats_; }
 
  private:
-  struct Relay {
-    int client_fd = -1;    ///< -1 once closed by the pump that owns teardown
-    int upstream_fd = -1;
-    std::thread to_upstream;
-    std::thread to_client;
-    std::atomic<int> pumps_live{0};
-  };
-
-  void accept_loop();
+  /// One client connection: dials the upstream, pumps client -> upstream
+  /// on this thread and upstream -> client on one extra thread.
+  void relay(int client_fd);
   /// One direction of a relay: reads from `from`, forwards to `to` with
-  /// faults drawn from `seed`'s stream.  On exit, decrements pumps_live and
-  /// queues the relay for reaping when it was the last pump out.
-  void pump(std::uint64_t id, int from, int to, std::uint64_t seed);
-  /// Terminal fault: aborts both sides of a relay (SO_LINGER(0) + shutdown,
-  /// so the peers see an abrupt termination, not a graceful FIN).
-  void kill_relay(std::uint64_t id);
-  void reap_finished();
+  /// faults drawn from `seed`'s stream.
+  void pump(int from, int to, std::uint64_t seed);
 
   ChaosOptions options_;
   ChaosStats stats_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> accepting_{false};
-  std::thread accept_thread_;
-  std::mutex relays_mutex_;
-  std::uint64_t next_relay_id_ = 0;                   // guarded by relays_mutex_
-  std::unordered_map<std::uint64_t, Relay> relays_;   // guarded by it too
-  std::vector<std::uint64_t> finished_;               // ids awaiting the reaper
+  /// Relays that reached the upstream so far: the connection index of the
+  /// fault schedule.
+  std::atomic<std::uint64_t> relays_started_{0};
+  /// Last, so it is destroyed first: its destructor stops and joins the
+  /// connection threads, which use everything above.
+  Listener listener_;
 };
 
 }  // namespace pmacx::service

@@ -20,14 +20,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-void set_timeouts(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 void send_all(int fd, const std::string& bytes) {
   // Bounded-EINTR full send via util::io; a false return is a timeout,
   // peer close, or hard error — the retry layer above handles all three.
@@ -111,7 +103,7 @@ void Client::connect_with_backoff() {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     PMACX_CHECK(fd >= 0, std::string("socket(): ") + std::strerror(errno));
     if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) == 0) {
-      set_timeouts(fd, static_cast<long>(options_.io_timeout_ms));
+      util::io::set_socket_timeouts(fd, options_.io_timeout_ms, options_.io_timeout_ms);
       fd_ = fd;
       return;
     }

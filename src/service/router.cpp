@@ -1,22 +1,12 @@
 #include "service/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
 #include "core/checkpoint.hpp"
 #include "ingest/ingest.hpp"
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/metrics.hpp"
-#include "util/parse_error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -24,67 +14,6 @@ namespace pmacx::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Poll interval for the accept loop and connection reads; bounds how long
-/// a stop() request can go unnoticed (same cadence as Server).
-constexpr int kPollMs = 100;
-
-void set_recv_timeout(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void set_send_timeout(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-enum class ReadStatus { Ok, Closed, Reset, Stopped, TimedOut, IdleTimedOut };
-
-/// Same contract as the Server's reader: idle waits bounded by
-/// idle_timeout_ms, a started message bounded by read_timeout_ms even while
-/// bytes keep arriving (slow-loris guard).
-ReadStatus read_exact(int fd, char* out, std::size_t size, const std::atomic<bool>& stop,
-                      std::uint64_t idle_timeout_ms, std::uint64_t read_timeout_ms) {
-  std::size_t got = 0;
-  const Clock::time_point idle_started = Clock::now();
-  Clock::time_point started{};
-  while (got < size) {
-    // Bounded-EINTR recv (util::io); budget exhaustion falls through to
-    // Reset below instead of spinning.
-    const ssize_t n = util::io::socket_recv(fd, out + got, size - got);
-    if (n > 0) {
-      if (got == 0) started = Clock::now();
-      got += static_cast<std::size_t>(n);
-      if (got < size &&
-          Clock::now() - started > std::chrono::milliseconds(read_timeout_ms))
-        return ReadStatus::TimedOut;
-      continue;
-    }
-    if (n == 0) return ReadStatus::Closed;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (stop.load(std::memory_order_relaxed)) return ReadStatus::Stopped;
-      if (got > 0) {
-        if (Clock::now() - started > std::chrono::milliseconds(read_timeout_ms))
-          return ReadStatus::TimedOut;
-      } else if (idle_timeout_ms > 0 && Clock::now() - idle_started >
-                                            std::chrono::milliseconds(idle_timeout_ms)) {
-        return ReadStatus::IdleTimedOut;
-      }
-      continue;
-    }
-    return ReadStatus::Reset;
-  }
-  return ReadStatus::Ok;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  return util::io::socket_send_all(fd, bytes.data(), bytes.size());
-}
 
 std::string shard_metric(std::uint32_t id, const char* suffix) {
   return "service.router.shard." + std::to_string(id) + suffix;
@@ -95,162 +24,38 @@ std::string shard_metric(std::uint32_t id, const char* suffix) {
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       ring_(options_.topology, options_.vnodes_per_shard),
-      started_at_(Clock::now()) {
+      started_at_(Clock::now()),
+      listener_(options_.bind, options_.port, "service.router", options_.failover_deadline_ms) {
   for (const ShardEndpoint& shard : ring_.shards())
     PMACX_CHECK(shard.port != 0, "shard " + std::to_string(shard.id) +
                                      " has no resolved port; the router needs real endpoints");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  PMACX_CHECK(listen_fd_ >= 0, std::string("socket(): ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  PMACX_CHECK(::inet_pton(AF_INET, options_.bind.c_str(), &addr.sin_addr) == 1,
-              "bad bind address '" + options_.bind + "'");
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw util::Error("bind " + options_.bind + ":" + std::to_string(options_.port) + ": " +
-                      reason);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw util::Error("listen: " + reason);
-  }
-
-  sockaddr_in bound{};
-  socklen_t bound_size = sizeof(bound);
-  PMACX_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_size) == 0,
-              "getsockname failed");
-  port_ = ntohs(bound.sin_port);
 
   auto& registry = util::metrics::Registry::global();
   registry.gauge("service.router.shards").set(static_cast<double>(ring_.shard_count()));
   registry.gauge("service.router.replication").set(static_cast<double>(ring_.replication()));
 }
 
-Router::~Router() {
-  stop();
-  wait();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
 void Router::start() {
-  PMACX_CHECK(!accepting_.exchange(true), "Router::start called twice");
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  listener_.start([this](int fd) { serve_connection(fd); });
 }
 
-void Router::reap_finished() {
-  std::vector<std::thread> victims;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    for (std::uint64_t id : finished_) {
-      auto it = connections_.find(id);
-      if (it == connections_.end()) continue;
-      victims.push_back(std::move(it->second.thread));
-      connections_.erase(it);
-    }
-    finished_.clear();
-  }
-  for (std::thread& victim : victims) victim.join();
-}
-
-void Router::accept_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;
-
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    util::metrics::Registry::global().counter("service.router.conn.accepted").add();
-    set_recv_timeout(fd, kPollMs);
-    set_send_timeout(fd, static_cast<long>(options_.failover_deadline_ms));
-
-    std::scoped_lock lock(connections_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    Connection& connection = connections_[id];
-    connection.fd = fd;
-    connection.thread = std::thread([this, fd, id] { serve_connection(fd, id); });
-  }
-
-  std::scoped_lock lock(connections_mutex_);
-  for (auto& [id, connection] : connections_)
-    if (connection.fd >= 0) ::shutdown(connection.fd, SHUT_RDWR);
-}
-
-void Router::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    for (auto& [id, connection] : connections_)
-      if (connection.thread.joinable()) threads.push_back(std::move(connection.thread));
-    connections_.clear();
-    finished_.clear();
-  }
-  for (std::thread& thread : threads) thread.join();
-  {
-    std::scoped_lock lock(connections_mutex_);
-    finished_.clear();
-  }
-}
-
-void Router::serve_connection(int fd, std::uint64_t id) {
-  auto& registry = util::metrics::Registry::global();
+void Router::serve_connection(int fd) {
   ShardClients shards;
   shards.shards.resize(ring_.shard_count());
-
-  std::string header(kHeaderSize, '\0');
-  std::string body;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const ReadStatus head = read_exact(fd, header.data(), header.size(), stop_,
-                                       options_.idle_timeout_ms, options_.read_timeout_ms);
-    if (head != ReadStatus::Ok) break;
-
-    Frame frame;
-    Request request;
-    try {
-      const std::size_t payload_size = frame_payload_size(header);
-      body.resize(payload_size + 4);
-      const ReadStatus rest = read_exact(fd, body.data(), body.size(), stop_,
-                                         options_.read_timeout_ms, options_.read_timeout_ms);
-      if (rest != ReadStatus::Ok) break;
-      frame = decode_frame(header + body);
-      request = decode_request(frame);
-    } catch (const util::ParseError& e) {
-      registry.counter("service.router.parse_error").add();
-      Response response;
-      response.status = Status::Error;
-      response.body = e.what();
-      send_all(fd, encode_response(MsgType::Status, response));
-      break;
-    }
-
-    const Response response = route(request, shards);
-    const bool sent = send_all(fd, encode_response(request.type, response));
-    if (request.type == MsgType::Shutdown) {
+  FrameReader reader(fd, listener_.stop_flag(), options_.idle_timeout_ms,
+                     options_.read_timeout_ms, "service.router", "service.router.parse_error");
+  while (const std::optional<Request> request = reader.next()) {
+    const bool sent = reader.reply(request->type, route(*request, shards));
+    if (request->type == MsgType::Shutdown) {
       // Reply *before* stopping: the shard fan-out can take a while (dead
-      // shards, fault injection), and once stop_ is set the accept loop
-      // shuts this connection down — the requester must already have its
+      // shards, fault injection), and once stopping the listener shuts
+      // this connection down — the requester must already have its
       // "draining" answer by then.
       broadcast_shutdown(shards);
       break;
     }
     if (!sent) break;
   }
-  ::close(fd);
-  std::scoped_lock lock(connections_mutex_);
-  auto it = connections_.find(id);
-  if (it != connections_.end()) it->second.fd = -1;
-  finished_.push_back(id);
 }
 
 Response Router::route(const Request& request, ShardClients& shards) {

@@ -24,6 +24,10 @@
 // are down or running a stale ring epoch.  SHUTDOWN fans out to every
 // shard, then stops the router itself.
 //
+// Client connections run on a service::Listener (listener.hpp) with the
+// same defense as a shard's: slow-loris and idle peers are cut off, and
+// service.router.conn.{accepted,reset,timeout,reaped} count it all.
+//
 // Everything is metered through the PR 3 metrics layer:
 // service.router.requests.<type>, .routed, .failover (requests that needed
 // a non-primary hop), .failover_attempts (individual failed hops),
@@ -38,11 +42,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "service/client.hpp"
+#include "service/listener.hpp"
 #include "service/protocol.hpp"
 #include "service/shard_ring.hpp"
 
@@ -82,35 +86,29 @@ class Router {
   /// here); accepting starts at start().  Throws util::Error on socket
   /// failure or an invalid topology.
   explicit Router(RouterOptions options);
-  ~Router();  ///< stop() + wait()
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
   const ShardRing& ring() const { return ring_; }
 
   /// Spawns the accept loop in a background thread.
   void start();
 
   /// Requests shutdown.  Async-signal-safe: only stores an atomic flag.
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  void stop() { listener_.stop(); }
 
   /// True once stop() was called (by a signal, a SHUTDOWN request, or the
   /// owner).  Supervisors poll this to stop respawning shards.
-  bool stopping() const { return stop_.load(std::memory_order_relaxed); }
+  bool stopping() const { return listener_.stopping(); }
 
   /// Blocks until the accept loop and every connection thread have exited.
-  void wait();
+  void wait() { listener_.wait(); }
 
   std::uint64_t requests_routed() const { return routed_.load(std::memory_order_relaxed); }
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-  };
-
   /// Per-connection-thread routing state for one shard: the lazily
   /// connected Client plus the routing-path circuit breaker.  Kept
   /// per-connection-thread (not shared) so no lock sits on the data plane;
@@ -124,9 +122,7 @@ class Router {
     std::vector<ShardState> shards;  ///< index = position in ring().shards()
   };
 
-  void accept_loop();
-  void serve_connection(int fd, std::uint64_t id);
-  void reap_finished();
+  void serve_connection(int fd);
 
   Response route(const Request& request, ShardClients& shards);
   Response route_data_plane(const Request& request, ShardClients& shards);
@@ -150,21 +146,15 @@ class Router {
   RouterOptions options_;
   ShardRing ring_;
   std::chrono::steady_clock::time_point started_at_{};
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> accepting_{false};
   std::atomic<std::uint64_t> routed_{0};
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::uint64_t next_connection_id_ = 0;                       // guarded by connections_mutex_
-  std::unordered_map<std::uint64_t, Connection> connections_;  // guarded by it too
-  std::vector<std::uint64_t> finished_;                        // ids awaiting the reaper
   std::mutex digest_mutex_;
   /// spec-key -> models_digest.  Trace files are immutable for the life of
   /// a serving run (the same assumption the shard ModelStore makes), and
   /// distinct workloads are few, so this never needs eviction.
   std::unordered_map<std::string, std::string> digest_cache_;  // guarded by digest_mutex_
+  /// Last, so it is destroyed first: its destructor stops and joins the
+  /// connection threads, which use everything above.
+  Listener listener_;
 };
 
 }  // namespace pmacx::service

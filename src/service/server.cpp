@@ -1,133 +1,26 @@
 #include "service/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 
 #include "psins/predictor.hpp"
 #include "trace/binary_io.hpp"
 #include "util/error.hpp"
-#include "util/io.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/parse_error.hpp"
 
 namespace pmacx::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Poll interval for the accept loop and idle connection reads; bounds how
-/// long a stop() request can go unnoticed.
-constexpr int kPollMs = 100;
-
-void set_recv_timeout(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void set_send_timeout(int fd, long ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-enum class ReadStatus { Ok, Closed, Reset, Stopped, TimedOut, IdleTimedOut };
-
-/// Reads exactly `size` bytes.  Idle waits (no bytes of the message read
-/// yet) are bounded by `idle_timeout_ms` (0 = only close/stop ends them);
-/// once a message has started, the read must complete within
-/// `read_timeout_ms` (slow-loris guard).  Hard socket errors report Reset
-/// so the caller can meter them separately from orderly closes.
-ReadStatus read_exact(int fd, char* out, std::size_t size, const std::atomic<bool>& stop,
-                      std::uint64_t idle_timeout_ms, std::uint64_t read_timeout_ms) {
-  std::size_t got = 0;
-  const Clock::time_point idle_started = Clock::now();
-  Clock::time_point started{};
-  while (got < size) {
-    // socket_recv retries EINTR with a bounded budget; an exhausted budget
-    // surfaces as errno=EINTR below and drops the connection (Reset)
-    // instead of spinning forever under a signal storm.
-    const ssize_t n = util::io::socket_recv(fd, out + got, size - got);
-    if (n > 0) {
-      if (got == 0) started = Clock::now();
-      got += static_cast<std::size_t>(n);
-      // Enforce the window even when bytes keep arriving: a peer trickling
-      // at just under the poll interval must not evade the slow-loris guard
-      // by keeping every recv fed.
-      if (got < size &&
-          Clock::now() - started > std::chrono::milliseconds(read_timeout_ms))
-        return ReadStatus::TimedOut;
-      continue;
-    }
-    if (n == 0) return ReadStatus::Closed;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      if (stop.load(std::memory_order_relaxed)) return ReadStatus::Stopped;
-      if (got > 0) {
-        if (Clock::now() - started > std::chrono::milliseconds(read_timeout_ms))
-          return ReadStatus::TimedOut;
-      } else if (idle_timeout_ms > 0 && Clock::now() - idle_started >
-                                            std::chrono::milliseconds(idle_timeout_ms)) {
-        return ReadStatus::IdleTimedOut;
-      }
-      continue;
-    }
-    return ReadStatus::Reset;  // hard socket error: drop the connection
-  }
-  return ReadStatus::Ok;
-}
-
-bool send_all(int fd, const std::string& bytes) {
-  // Bounded-EINTR full send; false on timeout or hard error (the peer gets
-  // a broken stream either way).
-  return util::io::socket_send_all(fd, bytes.data(), bytes.size());
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), started_at_(Clock::now()), store_(options_.cache_bytes) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  PMACX_CHECK(listen_fd_ >= 0, std::string("socket(): ") + std::strerror(errno));
-
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  PMACX_CHECK(::inet_pton(AF_INET, options_.bind.c_str(), &addr.sin_addr) == 1,
-              "bad bind address '" + options_.bind + "'");
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw util::Error("bind " + options_.bind + ":" + std::to_string(options_.port) + ": " +
-                      reason);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw util::Error("listen: " + reason);
-  }
-
-  sockaddr_in bound{};
-  socklen_t bound_size = sizeof(bound);
-  PMACX_CHECK(::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_size) == 0,
-              "getsockname failed");
-  port_ = ntohs(bound.sin_port);
-
+    : options_(std::move(options)),
+      started_at_(Clock::now()),
+      store_(options_.cache_bytes),
+      listener_(options_.bind, options_.port, "service", options_.request_timeout_ms) {
   pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   util::metrics::Registry::global().gauge("service.threads").set(
       static_cast<double>(util::ThreadPool::resolve_threads(options_.threads)));
@@ -154,163 +47,32 @@ Server::Server(ServerOptions options)
 Server::~Server() {
   stop();
   wait();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
 }
 
 void Server::start() {
-  PMACX_CHECK(!accepting_.exchange(true), "Server::start called twice");
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
-void Server::reap_finished() {
-  std::vector<std::thread> victims;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    for (std::uint64_t id : finished_) {
-      auto it = connections_.find(id);
-      if (it == connections_.end()) continue;  // wait() already took it
-      victims.push_back(std::move(it->second.thread));
-      connections_.erase(it);
-    }
-    finished_.clear();
-  }
-  // Join outside the lock: these threads have (at most) their final return
-  // left, so each join is effectively instant.
-  for (std::thread& victim : victims) {
-    victim.join();
-    util::metrics::Registry::global().counter("service.conn.reaped").add();
-  }
-}
-
-std::size_t Server::live_connections() {
-  std::scoped_lock lock(connections_mutex_);
-  return connections_.size();
-}
-
-void Server::accept_loop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    reap_finished();
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, kPollMs);
-    if (ready <= 0) continue;  // timeout (stop re-check) or EINTR
-
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    util::metrics::Registry::global().counter("service.conn.accepted").add();
-    set_recv_timeout(fd, kPollMs);
-    set_send_timeout(fd, static_cast<long>(options_.request_timeout_ms));
-
-    std::scoped_lock lock(connections_mutex_);
-    const std::uint64_t id = next_connection_id_++;
-    Connection& connection = connections_[id];
-    connection.fd = fd;
-    connection.thread = std::thread([this, fd, id] { serve_connection(fd, id); });
-  }
-
-  // Stopping: unblock every connection read so their threads can exit.
-  // Only fds still owned by a live serving thread are shut down — closed
-  // ones are marked -1, so a recycled descriptor is never touched.
-  std::scoped_lock lock(connections_mutex_);
-  for (auto& [id, connection] : connections_)
-    if (connection.fd >= 0) ::shutdown(connection.fd, SHUT_RDWR);
+  listener_.start([this](int fd) { serve_connection(fd); });
 }
 
 void Server::wait() {
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept loop has exited, so connections_ can no longer grow.
-  std::vector<std::thread> threads;
-  {
-    std::scoped_lock lock(connections_mutex_);
-    for (auto& [id, connection] : connections_)
-      if (connection.thread.joinable()) threads.push_back(std::move(connection.thread));
-    connections_.clear();
-    finished_.clear();
-  }
-  // Queued (not yet started) handlers are cancelled — their connection
-  // threads see CancelledError; running handlers finish within the request
-  // deadline their waiters enforce.
-  if (pool_) pool_->cancel_pending();
-  for (std::thread& thread : threads) thread.join();
-  {
-    // Exiting threads may have pushed their ids after the swap above.
-    std::scoped_lock lock(connections_mutex_);
-    finished_.clear();
-  }
+  // Once the accept loop has stopped, queued (not yet started) handlers are
+  // cancelled — their connection threads see CancelledError; running
+  // handlers finish within the request deadline their waiters enforce.
+  listener_.wait([this] {
+    if (pool_) pool_->cancel_pending();
+  });
   pool_.reset();  // drains any still-running handler
 }
 
-void Server::serve_connection(int fd, std::uint64_t id) {
-  auto& registry = util::metrics::Registry::global();
-  std::string header(kHeaderSize, '\0');
-  std::string body;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const ReadStatus head = read_exact(fd, header.data(), header.size(), stop_,
-                                       options_.idle_timeout_ms, options_.read_timeout_ms);
-    if (head != ReadStatus::Ok) {
-      if (head == ReadStatus::TimedOut || head == ReadStatus::IdleTimedOut)
-        registry.counter("service.conn.timeout").add();
-      else if (head == ReadStatus::Reset)
-        registry.counter("service.conn.reset").add();
-      break;
-    }
-
-    Frame frame;
-    try {
-      const std::size_t payload_size = frame_payload_size(header);
-      body.resize(payload_size + 4);  // payload + CRC trailer
-      // The body is mid-message from its first byte: the read window applies
-      // to the whole wait, idle leniency does not.
-      const ReadStatus rest = read_exact(fd, body.data(), body.size(), stop_,
-                                         options_.read_timeout_ms, options_.read_timeout_ms);
-      if (rest != ReadStatus::Ok) {
-        if (rest == ReadStatus::TimedOut || rest == ReadStatus::IdleTimedOut)
-          registry.counter("service.conn.timeout").add();
-        else if (rest == ReadStatus::Reset)
-          registry.counter("service.conn.reset").add();
-        break;
-      }
-      frame = decode_frame(header + body);
-    } catch (const util::ParseError& e) {
-      // The stream is unsynchronized after a malformed frame: answer with a
-      // generic error frame, then drop the connection.
-      util::metrics::Registry::global().counter("service.requests.parse_error").add();
-      Response response;
-      response.status = Status::Error;
-      response.body = e.what();
-      send_all(fd, encode_response(MsgType::Status, response));
-      break;
-    }
-
-    Request request;
-    try {
-      request = decode_request(frame);
-    } catch (const util::ParseError& e) {
-      util::metrics::Registry::global().counter("service.requests.parse_error").add();
-      Response response;
-      response.status = Status::Error;
-      response.body = e.what();
-      send_all(fd, encode_response(frame.type, response));
-      break;
-    }
-
-    const Response response = dispatch(request);
-    if (!send_all(fd, encode_response(request.type, response))) {
-      registry.counter("service.conn.reset").add();
-      break;
-    }
-    if (request.type == MsgType::Shutdown) {
+void Server::serve_connection(int fd) {
+  FrameReader reader(fd, listener_.stop_flag(), options_.idle_timeout_ms,
+                     options_.read_timeout_ms, "service", "service.requests.parse_error");
+  while (const std::optional<Request> request = reader.next()) {
+    if (!reader.reply(request->type, dispatch(*request))) break;
+    if (request->type == MsgType::Shutdown) {
       stop();
       break;
     }
   }
-  ::close(fd);
-  // Hand this thread to the reaper: mark the fd dead (so shutdown-at-stop
-  // never touches a recycled descriptor) and queue the id for joining on
-  // the accept loop's next tick.
-  std::scoped_lock lock(connections_mutex_);
-  auto it = connections_.find(id);
-  if (it != connections_.end()) it->second.fd = -1;
-  finished_.push_back(id);
 }
 
 Response Server::dispatch(const Request& request) {

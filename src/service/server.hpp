@@ -1,43 +1,34 @@
 // The pmacx prediction server.
 //
-// A loopback-default TCP listener speaking pmacx-rpc-v1 (protocol.hpp).
-// Each accepted connection gets a lightweight reader thread that decodes
-// frames and dispatches request *handling* onto the shared util::ThreadPool,
-// so slow fits never starve frame I/O and the pool bounds CPU concurrency.
-// Load is shed explicitly: once `max_in_flight` requests are being handled,
-// further well-formed requests get an immediate BUSY response instead of
-// queueing without bound.  Every request is metered
+// A loopback-default TCP endpoint speaking pmacx-rpc-v1 (protocol.hpp) on a
+// service::Listener (listener.hpp), which owns the socket, the accept loop,
+// the per-connection threads and their reaper, and the connection defense
+// counters service.conn.{accepted,reset,timeout,reaped}.  Each connection's
+// thread reads frames and dispatches request *handling* onto the shared
+// util::ThreadPool, so slow fits never starve frame I/O and the pool bounds
+// CPU concurrency.  Load is shed explicitly: once `max_in_flight` requests
+// are being handled, further well-formed requests get an immediate BUSY
+// response instead of queueing without bound.  Every request is metered
 // (service.requests.<type>, service.requests.{busy,error,parse_error},
 // service.latency.<type> histograms) and bounded by a wall-clock deadline —
 // a handler that blows `request_timeout_ms` gets an Error response while the
 // stale computation's result is discarded.
 //
-// Connections are defended and bounded: a peer that starts a frame but
-// trickles it (slow loris) is cut off after `read_timeout_ms`, a peer that
-// sits silent longer than `idle_timeout_ms` is reaped, hard socket errors
-// are metered as resets, and the accept loop continuously joins finished
-// connection threads (the reaper) so a connection churn of any length holds
-// memory proportional to *live* connections only.  All of it is visible in
-// service.conn.{accepted,reset,timeout,reaped} counters.
-//
 // Shutdown is graceful: stop() only flips an atomic (async-signal-safe, so
-// SIGINT/SIGTERM handlers may call it); the accept loop notices within one
-// poll interval, open connections are shut down, in-flight handlers finish
-// (queued ones are cancelled via ThreadPool::cancel_pending), and wait()
-// returns once everything is drained.
+// SIGINT/SIGTERM handlers may call it); wait() stops the accept loop,
+// cancels queued handlers (ThreadPool::cancel_pending), joins the
+// connection threads and drains the pool.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "ingest/ingest.hpp"
+#include "service/listener.hpp"
 #include "service/model_store.hpp"
 #include "service/protocol.hpp"
 #include "util/threadpool.hpp"
@@ -86,13 +77,13 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// The port actually bound (resolves port 0 to the ephemeral choice).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Spawns the accept loop in a background thread.
   void start();
 
   /// Requests shutdown.  Async-signal-safe: only stores an atomic flag.
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  void stop() { listener_.stop(); }
 
   /// Blocks until the accept loop and every connection thread have exited
   /// and in-flight handlers have drained.  Idempotent.
@@ -104,22 +95,8 @@ class Server {
   /// The live-ingestion subsystem, or nullptr when `ingest_dir` was empty.
   ingest::IngestService* ingest() { return ingest_.get(); }
 
-  /// Live connections currently being served (diagnostic; the bounded-memory
-  /// chaos invariant is asserted against this staying small under churn).
-  std::size_t live_connections();
-
  private:
-  struct Connection {
-    int fd = -1;  ///< -1 once the serving thread has closed it
-    std::thread thread;
-  };
-
-  void accept_loop();
-  void serve_connection(int fd, std::uint64_t id);
-  /// Joins (and forgets) every connection thread that has finished serving.
-  /// Called from the accept loop each poll tick — the reaper that keeps
-  /// connection bookkeeping from growing with total connections served.
-  void reap_finished();
+  void serve_connection(int fd);
   /// Handles one decoded request on the pool, enforcing the in-flight cap
   /// and deadline; always returns a Response (errors become Status::Error).
   Response dispatch(const Request& request);
@@ -131,10 +108,6 @@ class Server {
 
   ServerOptions options_;
   std::chrono::steady_clock::time_point started_at_{};
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> accepting_{false};
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::uint64_t> handled_{0};
   ModelStore store_;
@@ -143,11 +116,9 @@ class Server {
   /// cancelled queued refits and pool_.reset() drained running ones, so no
   /// pool task can touch a dead IngestService.
   std::unique_ptr<ingest::IngestService> ingest_;
-  std::thread accept_thread_;
-  std::mutex connections_mutex_;
-  std::uint64_t next_connection_id_ = 0;            // guarded by connections_mutex_
-  std::unordered_map<std::uint64_t, Connection> connections_;  // guarded by it too
-  std::vector<std::uint64_t> finished_;             // ids awaiting the reaper
+  /// Last, so it is destroyed first: its destructor stops and joins the
+  /// connection threads, which use everything above.
+  Listener listener_;
 };
 
 }  // namespace pmacx::service

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -631,6 +632,19 @@ bool socket_send_all(int fd, const char* data, std::size_t size) noexcept {
     return false;  // timeout, peer close, or hard error
   }
   return true;
+}
+
+void set_socket_timeouts(int fd, std::uint64_t recv_ms, std::uint64_t send_ms) noexcept {
+  auto as_timeval = [](std::uint64_t ms) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(ms / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+    return tv;
+  };
+  const timeval recv_tv = as_timeval(recv_ms);
+  const timeval send_tv = as_timeval(send_ms);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_tv, sizeof(recv_tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_tv, sizeof(send_tv));
 }
 
 }  // namespace pmacx::util::io

@@ -200,4 +200,8 @@ inline bool socket_send_all(int fd, std::string_view data) noexcept {
   return socket_send_all(fd, data.data(), data.size());
 }
 
+/// Sets SO_RCVTIMEO and SO_SNDTIMEO (0 = block without limit).  A recv or
+/// send that times out fails with EAGAIN.
+void set_socket_timeouts(int fd, std::uint64_t recv_ms, std::uint64_t send_ms) noexcept;
+
 }  // namespace pmacx::util::io

@@ -1,8 +1,9 @@
 // pmacx::service tests: the byte-bounded single-flight LRU, the
 // content-addressed model store, and the in-process server end-to-end —
 // including the golden equivalence contract (server responses byte-identical
-// to direct library calls), BUSY load shedding, and concurrent clients
-// (run under TSan by the CI matrix).
+// to direct library calls), BUSY load shedding, concurrent clients, the
+// connection defense of both the server and the router, and the chaos
+// proxy (run under TSan by the CI matrix).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "service/client.hpp"
 #include "service/model_store.hpp"
 #include "service/protocol.hpp"
+#include "service/router.hpp"
 #include "service/server.hpp"
 #include "synth/registry.hpp"
 #include "trace/binary_io.hpp"
@@ -528,19 +531,64 @@ int connect_raw(std::uint16_t port) {
   return fd;
 }
 
-TEST(ServiceResilienceTest, SlowLorisIsReapedWhileWellBehavedClientsAreServed) {
-  service::ServerOptions options = test_server_options();
-  options.read_timeout_ms = 400;  // the slow-loris window under test
-  options.idle_timeout_ms = 30'000;
-  service::Server server(options);
-  server.start();
-  const std::uint64_t timeouts_before = metric("service.conn.timeout");
+/// The endpoint a client talks to: a Server, or a Router in front of one
+/// shard Server.  Both run the same connection defense and count it under
+/// their own metric prefix.
+enum class Frontend { Server, Router };
+
+struct FrontendUnderTest {
+  std::unique_ptr<service::Server> server;  ///< the endpoint, or the router's shard
+  std::unique_ptr<service::Router> router;
+
+  FrontendUnderTest(Frontend kind, std::uint64_t idle_timeout_ms,
+                    std::uint64_t read_timeout_ms) {
+    service::ServerOptions options = test_server_options();
+    if (kind == Frontend::Server) {
+      options.idle_timeout_ms = idle_timeout_ms;
+      options.read_timeout_ms = read_timeout_ms;
+    }
+    server = std::make_unique<service::Server>(options);
+    server->start();
+    if (kind == Frontend::Server) return;
+
+    service::RouterOptions router_options;
+    router_options.topology.replication = 1;
+    router_options.topology.shards.push_back({0, "127.0.0.1", server->port()});
+    router_options.shard_io_timeout_ms = 120'000;
+    router_options.failover_deadline_ms = 240'000;
+    router_options.idle_timeout_ms = idle_timeout_ms;
+    router_options.read_timeout_ms = read_timeout_ms;
+    router = std::make_unique<service::Router>(router_options);
+    router->start();
+  }
+
+  std::uint16_t port() const { return router ? router->port() : server->port(); }
+
+  service::ClientOptions client_options() const {
+    service::ClientOptions options = client_for(*server);
+    options.port = port();
+    return options;
+  }
+
+  /// The endpoint's `service[.router].conn.<event>` counter.
+  std::uint64_t conn_metric(const std::string& event) const {
+    const std::string prefix = router ? "service.router.conn." : "service.conn.";
+    return metric((prefix + event).c_str());
+  }
+};
+
+class ConnectionDefenseTest : public testing::TestWithParam<Frontend> {};
+
+TEST_P(ConnectionDefenseTest, SlowLorisIsReapedWhileWellBehavedClientsAreServed) {
+  // The slow-loris window under test is 400 ms.
+  FrontendUnderTest frontend(GetParam(), /*idle_timeout_ms=*/30'000, /*read_timeout_ms=*/400);
+  const std::uint64_t timeouts_before = frontend.conn_metric("timeout");
 
   // The attacker trickles a real frame at 1 byte per 100 ms — a full frame
   // would take tens of seconds, far past the read window.
   std::atomic<int> bytes_trickled{0};
   std::thread loris([&] {
-    const int fd = connect_raw(server.port());
+    const int fd = connect_raw(frontend.port());
     if (fd < 0) return;
     const std::string frame = service::encode_request(extrapolate_request(256));
     for (std::size_t i = 0; i < frame.size(); ++i) {
@@ -552,34 +600,31 @@ TEST(ServiceResilienceTest, SlowLorisIsReapedWhileWellBehavedClientsAreServed) {
   });
 
   // Meanwhile an honest client on another connection is served normally.
-  service::Client client(client_for(server));
+  service::Client client(frontend.client_options());
   EXPECT_EQ(client.call(extrapolate_request(256)).status, service::Status::Ok);
 
   loris.join();
-  // The server cut the trickler off near the 400 ms mark — its sends started
-  // failing long before the frame was done — and counted the timeout.
+  // The endpoint cut the trickler off near the 400 ms mark — its sends
+  // started failing long before the frame was done — and counted the timeout.
   EXPECT_LT(bytes_trickled.load(), 40) << "slow-loris peer was never cut off";
-  EXPECT_GE(metric("service.conn.timeout"), timeouts_before + 1);
+  EXPECT_GE(frontend.conn_metric("timeout"), timeouts_before + 1);
 }
 
-TEST(ServiceResilienceTest, IdleConnectionIsReapedAndRetryReconnects) {
-  service::ServerOptions options = test_server_options();
-  options.idle_timeout_ms = 300;
-  service::Server server(options);
-  server.start();
-  const std::uint64_t timeouts_before = metric("service.conn.timeout");
-  const std::uint64_t reaped_before = metric("service.conn.reaped");
+TEST_P(ConnectionDefenseTest, IdleConnectionIsReapedAndRetryReconnects) {
+  FrontendUnderTest frontend(GetParam(), /*idle_timeout_ms=*/300, /*read_timeout_ms=*/10'000);
+  const std::uint64_t timeouts_before = frontend.conn_metric("timeout");
+  const std::uint64_t reaped_before = frontend.conn_metric("reaped");
 
-  service::ClientOptions client_options = client_for(server);
+  service::ClientOptions client_options = frontend.client_options();
   client_options.retry.initial_backoff_ms = 5;
   service::Client client(client_options);
   service::Request status;
   status.type = service::MsgType::Status;
   ASSERT_EQ(client.call(status).status, service::Status::Ok);
 
-  // Sit silent past the idle window: the server reaps this connection.
+  // Sit silent past the idle window: the endpoint reaps this connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(800));
-  EXPECT_GE(metric("service.conn.timeout"), timeouts_before + 1);
+  EXPECT_GE(frontend.conn_metric("timeout"), timeouts_before + 1);
 
   // The resilient path hides the dead socket: it fails the first attempt,
   // reconnects, and completes.
@@ -587,10 +632,16 @@ TEST(ServiceResilienceTest, IdleConnectionIsReapedAndRetryReconnects) {
 
   // The reaper joined the finished connection thread (poll-tick timing, so
   // give it a moment).
-  for (int i = 0; i < 50 && metric("service.conn.reaped") < reaped_before + 1; ++i)
+  for (int i = 0; i < 50 && frontend.conn_metric("reaped") < reaped_before + 1; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_GE(metric("service.conn.reaped"), reaped_before + 1);
+  EXPECT_GE(frontend.conn_metric("reaped"), reaped_before + 1);
 }
+
+INSTANTIATE_TEST_SUITE_P(ServerAndRouter, ConnectionDefenseTest,
+                         testing::Values(Frontend::Server, Frontend::Router),
+                         [](const testing::TestParamInfo<Frontend>& info) {
+                           return info.param == Frontend::Server ? "Server" : "Router";
+                         });
 
 TEST(ServiceResilienceTest, BusyIsRetriedThenReturnedNotThrown) {
   service::ServerOptions options = test_server_options();
@@ -710,6 +761,49 @@ TEST(ChaosProxyTest, AlwaysResetProxyFailsDefinitelyAndServerSurvives) {
   // The server rode out the RST: a direct, well-formed request still works.
   service::Client direct(client_for(server));
   EXPECT_EQ(direct.call(extrapolate_request(256)).status, service::Status::Ok);
+}
+
+TEST(ChaosProxyTest, UpstreamResetEndsTheClientConnection) {
+  // A fake upstream that resets the connection after the first request byte,
+  // as a killed shard or one dropping a corrupt stream with bytes unread does.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  socklen_t addr_size = sizeof(addr);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_size), 0);
+  std::thread upstream([listen_fd] {
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) return;
+    char byte = 0;
+    if (::recv(fd, &byte, 1, 0) == 1) {
+      const linger abort_on_close{1, 0};
+      ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_on_close, sizeof(abort_on_close));
+    }
+    ::close(fd);
+  });
+
+  service::ChaosOptions chaos;
+  chaos.upstream_port = ntohs(addr.sin_port);
+  chaos.p_reset = chaos.p_cut = chaos.p_delay = chaos.p_duplicate = 0.0;
+  chaos.p_trickle = chaos.p_partial = chaos.p_short_read = 0.0;
+  service::ChaosProxy proxy(chaos);
+  proxy.start();
+
+  service::ClientOptions through_proxy;
+  through_proxy.port = proxy.port();
+  through_proxy.io_timeout_ms = 5'000;
+  service::Client client(through_proxy);
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)client.call(extrapolate_request(256)), util::Error);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 1'000)
+      << "the proxy left the client to wait out its own I/O timeout";
+  upstream.join();
+  ::close(listen_fd);
 }
 
 }  // namespace

@@ -150,6 +150,9 @@ struct ClusterParams {
   std::string app, machine_target, json_path, metrics_json;
 };
 
+/// Router budget for one shard hop, and the shards' own request deadline.
+constexpr std::uint64_t kShardIoTimeoutMs = 120'000;
+
 /// Cluster-mode chaos (file comment): returns the process exit code.
 int run_cluster_chaos(const ClusterParams& params) {
   // --- Spawn and supervise the shard fleet. -------------------------------
@@ -166,8 +169,12 @@ int run_cluster_chaos(const ClusterParams& params) {
     tools::SpawnSpec spec;
     spec.binary = params.serve_binary;
     spec.tool = "pmacx_chaos";
+    // The handler deadline matches the router's per-hop I/O budget below: a
+    // cold PREDICT (machine profile build) takes over a minute under TSan,
+    // and a shard must not give up on a request the router still awaits.
     spec.args = {"--bind", "127.0.0.1", "--port", "0",
-                 "--shard-id", std::to_string(id), "--ring-epoch", std::to_string(epoch)};
+                 "--shard-id", std::to_string(id), "--ring-epoch", std::to_string(epoch),
+                 "--timeout-ms", std::to_string(kShardIoTimeoutMs)};
     const std::size_t index = supervisor.add(std::move(spec));
     shard_ports[id] = supervisor.port(index);  // pinned across respawns
   }
@@ -190,7 +197,7 @@ int run_cluster_chaos(const ClusterParams& params) {
   // so these only bound genuinely slow responses — and under sanitizer
   // builds a cold-cache fit can legitimately take tens of seconds.  Tight
   // budgets here would misreport slowness as lost requests.
-  router_options.shard_io_timeout_ms = 120'000;
+  router_options.shard_io_timeout_ms = kShardIoTimeoutMs;
   router_options.failover_deadline_ms = 240'000;
   service::Router router(router_options);
   router.start();
