@@ -13,6 +13,12 @@
 //   counter.<name>               every nonzero counter of the trace →
 //                                extrapolate → predict flow, except
 //                                fits.simd_batches (zero without AVX2)
+//   measure.<app>.<target>.<mode> bit patterns of psins::measure_run's
+//                                runtime, compute and comm seconds
+//                                (Table I's "measured" column)
+//   multimaps.<target>           every MultiMAPS sample of the target's
+//                                probe (working set, stride, kind, hit
+//                                rates and bandwidth bits)
 //
 // Artifacts are recorded as "<name> <bytes> <fnv1a-64>", counters as
 // "<name> <value>".  On a mismatch the test prints the line that would
@@ -32,6 +38,7 @@
 #include "machine/profile.hpp"
 #include "machine/targets.hpp"
 #include "psins/predictor.hpp"
+#include "psins/reference.hpp"
 #include "synth/registry.hpp"
 #include "synth/tracer.hpp"
 #include "trace/binary_io.hpp"
@@ -125,6 +132,19 @@ psins::PredictionResult predict(const synth::SyntheticApp& app, const trace::Tas
   return psins::predict(signature, profile);
 }
 
+/// Raw IEEE-754 bytes of every field of a MultiMAPS sample set.
+std::string sample_bits(const std::vector<machine::BandwidthSample>& samples) {
+  std::string out;
+  for (const machine::BandwidthSample& s : samples) {
+    out.append(reinterpret_cast<const char*>(&s.working_set_bytes), sizeof s.working_set_bytes);
+    out.append(reinterpret_cast<const char*>(&s.stride_elems), sizeof s.stride_elems);
+    out.push_back(s.random ? 1 : 0);
+    for (const double rate : s.hit_rates) append_bits(out, rate);
+    append_bits(out, s.bandwidth_bytes_per_s);
+  }
+  return out;
+}
+
 machine::MultiMapsOptions fast_probe() {
   machine::MultiMapsOptions options;
   options.working_sets = {16ull << 10, 256ull << 10, 4ull << 20, 32ull << 20};
@@ -140,6 +160,8 @@ struct Corpus {
   std::vector<std::string> extrapolation;
   std::vector<std::string> predictions;
   std::vector<std::string> counters;
+  std::vector<std::string> measurements;
+  std::vector<std::string> multimaps;
 };
 
 Corpus compute_corpus() {
@@ -191,6 +213,34 @@ Corpus compute_corpus() {
                                  (threads == 1 ? "mpi" : "hybrid");
         corpus.traces.push_back(artifact_line(
             name, trace::to_binary(collect(*app, target, kCorpusCores, threads))));
+      }
+    }
+  }
+
+  // The reference ("measured") run and the MultiMAPS probe, per target.
+  // Both run after the counter snapshot: neither flushes memsim counters,
+  // and the measured run's MPI replay must not reach the flow's section.
+  for (const char* target : {"bluewaters-p1", "cray-xt5"}) {
+    const machine::MachineProfile target_profile =
+        machine::build_profile(machine::target_by_name(target), fast_probe());
+    corpus.multimaps.push_back(artifact_line(std::string("multimaps.") + target,
+                                             sample_bits(target_profile.surface.samples())));
+    for (const char* app_name : {"specfem3d", "uh3d", "hpcg"}) {
+      const auto app = synth::make_app(app_name);
+      for (const std::uint32_t threads : {1u, kHybridThreads}) {
+        psins::ReferenceOptions options;
+        options.max_refs_per_kernel = kMaxRefsPerKernel;
+        options.threads_per_rank = threads;
+        const psins::MeasuredRun run =
+            psins::measure_run(*app, kCorpusCores, target_profile, options);
+        std::string bits;
+        append_bits(bits, run.runtime_seconds);
+        append_bits(bits, run.compute_seconds);
+        append_bits(bits, run.comm_seconds);
+        corpus.measurements.push_back(artifact_line(std::string("measure.") + app_name +
+                                                        "." + target + "." +
+                                                        (threads == 1 ? "mpi" : "hybrid"),
+                                                    bits));
       }
     }
   }
@@ -247,6 +297,10 @@ TEST(GoldenCorpusTest, PredictBodiesAndDoubles) {
 }
 
 TEST(GoldenCorpusTest, FlowCounters) { expect_section("counter.", corpus().counters); }
+
+TEST(GoldenCorpusTest, MeasuredRuns) { expect_section("measure.", corpus().measurements); }
+
+TEST(GoldenCorpusTest, MultiMapsSamples) { expect_section("multimaps.", corpus().multimaps); }
 
 }  // namespace
 }  // namespace pmacx
