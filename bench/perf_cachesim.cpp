@@ -9,13 +9,11 @@
 
 #include "machine/targets.hpp"
 #include "memsim/hierarchy.hpp"
-#include "memsim/parallel_replay.hpp"
 #include "memsim/ref_block.hpp"
 #include "memsim/reuse.hpp"
 #include "reference_sim.hpp"
 #include "synth/patterns.hpp"
 #include "util/arena.hpp"
-#include "util/threadpool.hpp"
 
 namespace {
 
@@ -144,34 +142,6 @@ void BM_ReuseDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReuseDistance)->Arg(18)->Arg(22);
-
-void BM_RankReplayThreaded(benchmark::State& state) {
-  // Independent rank hierarchies replayed concurrently — the memsim side of
-  // the parallel pipeline (each rank owns its hierarchy and stream).
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::uint32_t kRanks = 8;
-  constexpr std::uint64_t kRefs = 200'000;
-  const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
-  const memsim::RankStreamFactory factory = [](std::uint32_t rank) {
-    synth::StreamSpec spec;
-    spec.pattern = synth::Pattern::Strided;
-    spec.base_addr = (1ull << 40) + (static_cast<std::uint64_t>(rank) << 30);
-    spec.footprint_bytes = 1ull << 22;
-    spec.elem_bytes = 8;
-    spec.stride_elems = 4;
-    spec.store_fraction = 0.3;
-    synth::RefStream stream(spec, 42 + rank);
-    return [stream]() mutable { return stream.next(); };
-  };
-  util::ThreadPool pool(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        memsim::replay_ranks(config, kRanks, kRefs, factory, &pool));
-  }
-  state.SetItemsProcessed(state.iterations() * kRanks * kRefs);
-  state.SetLabel(std::to_string(threads) + "thr");
-}
-BENCHMARK(BM_RankReplayThreaded)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_ScopeSwitching(benchmark::State& state) {
   // Cost of per-instruction scope attribution in the tracer's hot loop.

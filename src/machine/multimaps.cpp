@@ -6,7 +6,7 @@
 
 #include "memsim/hierarchy.hpp"
 #include "stats/ols.hpp"
-#include "synth/patterns.hpp"
+#include "synth/replay.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -112,14 +112,15 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
     spec.elem_bytes = 8;
     spec.stride_elems = stride;
     spec.store_fraction = 0.0;  // MultiMAPS measures load bandwidth
-    synth::RefStream stream(spec, options.seed + working_set + stride + (random ? 1 : 0));
+    std::vector<synth::RefStream> streams;
+    streams.emplace_back(spec, options.seed + working_set + stride + (random ? 1 : 0));
 
     // Enough references to sweep the working set a few times (steady state)
     // within the probe budget.
     const std::uint64_t elems = working_set / spec.elem_bytes;
     const std::uint64_t wanted = std::max(options.min_refs_per_probe, 3 * elems);
     const std::uint64_t refs = std::min(wanted, options.max_refs_per_probe);
-    for (std::uint64_t i = 0; i < refs; ++i) sim.access(stream.next());
+    synth::replay(sim, streams, refs, /*first_scope=*/0);
 
     const memsim::AccessCounters& counters = sim.totals();
     const double seconds = timing.seconds_for(counters);
@@ -129,11 +130,7 @@ std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierar
     sample.working_set_bytes = working_set;
     sample.stride_elems = stride;
     sample.random = random;
-    double rate = 0.0;
-    for (std::size_t lvl = 0; lvl < memsim::kMaxLevels; ++lvl) {
-      if (lvl < hierarchy.levels.size()) rate = counters.cumulative_hit_rate(lvl);
-      sample.hit_rates[lvl] = rate;
-    }
+    sample.hit_rates = counters.cumulative_hit_rates(hierarchy.levels.size());
     sample.bandwidth_bytes_per_s = static_cast<double>(counters.bytes) / seconds;
     samples.push_back(sample);
   };

@@ -24,6 +24,17 @@ double AccessCounters::cumulative_hit_rate(std::size_t level) const {
   return static_cast<double>(hits) / static_cast<double>(line_accesses);
 }
 
+std::array<double, kMaxLevels> AccessCounters::cumulative_hit_rates(
+    std::size_t levels) const {
+  std::array<double, kMaxLevels> rates{};
+  double rate = 0.0;
+  for (std::size_t lvl = 0; lvl < kMaxLevels; ++lvl) {
+    if (lvl < levels) rate = cumulative_hit_rate(lvl);
+    rates[lvl] = rate;
+  }
+  return rates;
+}
+
 void AccessCounters::merge(const AccessCounters& other) {
   refs += other.refs;
   loads += other.loads;
@@ -36,15 +47,26 @@ void AccessCounters::merge(const AccessCounters& other) {
   writebacks += other.writebacks;
 }
 
-CacheHierarchy::CacheHierarchy(HierarchyConfig config) : config_(std::move(config)) {
+CacheHierarchy::CacheHierarchy(HierarchyConfig config, std::uint32_t threads,
+                               std::size_t shared_from)
+    : config_(std::move(config)), threads_(threads), shared_from_(shared_from) {
   config_.validate();
+  PMACX_CHECK(threads_ > 0, "hierarchy needs at least one thread");
+  PMACX_CHECK(shared_from_ <= config_.levels.size(), "shared_from beyond level count");
+  PMACX_CHECK(threads_ == 1 || (!config_.prefetch.enabled && !config_.tlb.enabled),
+              "threaded hierarchy does not model prefetch/TLB (use per-rank mode)");
+  PMACX_CHECK(threads_ == 1 || !config_.inclusive,
+              "threaded hierarchy does not model inclusion (use per-rank mode)");
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(config_.line_bytes())));
-  levels_.reserve(config_.levels.size());
-  for (std::size_t i = 0; i < config_.levels.size(); ++i)
-    levels_.emplace_back(config_.levels[i], config_.seed + i);
+  levels_.reserve(threads_ * shared_from_ + config_.levels.size() - shared_from_);
+  for (std::uint32_t t = 0; t < threads_; ++t)
+    for (std::size_t lvl = 0; lvl < shared_from_; ++lvl)
+      levels_.emplace_back(config_.levels[lvl], config_.seed + lvl + t * 131);
+  for (std::size_t lvl = shared_from_; lvl < config_.levels.size(); ++lvl)
+    levels_.emplace_back(config_.levels[lvl], config_.seed + lvl);
   if (config_.prefetch.enabled) streams_.resize(config_.prefetch.streams);
-  grouped_replay_ok_ = !config_.prefetch.enabled && !config_.inclusive;
+  grouped_replay_ok_ = threads_ == 1 && !config_.prefetch.enabled && !config_.inclusive;
   for (const CacheLevelConfig& level : config_.levels)
     if (level.replacement == Replacement::Random) grouped_replay_ok_ = false;
 }
@@ -124,10 +146,11 @@ void CacheHierarchy::set_scope(std::uint64_t block_id) {
   current_ = &scopes_[block_id];
 }
 
-void CacheHierarchy::access(const MemRef& ref) {
+void CacheHierarchy::access(const MemRef& ref, std::uint32_t thread) {
+  PMACX_CHECK(thread < threads_, "thread index out of range");
   PMACX_CHECK(ref.size > 0, "zero-size memory reference");
   if (current_ == nullptr) current_ = &scopes_[scope_];
-  access_one(ref.addr, ref.size, ref.is_store, *current_);
+  access_one(thread, ref.addr, ref.size, ref.is_store, *current_);
 }
 
 void CacheHierarchy::access_block(const RefBlock& block) {
@@ -138,8 +161,10 @@ void CacheHierarchy::access_block(const RefBlock& block) {
     return;
   }
   for (std::size_t i = 0; i < block.count; ++i) {
+    const std::uint32_t thread = block.thread != nullptr ? block.thread[i] : 0;
+    PMACX_CHECK(thread < threads_, "thread index out of range");
     PMACX_CHECK(block.size[i] > 0, "zero-size memory reference");
-    access_one(block.addr[i], block.size[i], block.is_store[i] != 0, scoped);
+    access_one(thread, block.addr[i], block.size[i], block.is_store[i] != 0, scoped);
   }
 }
 
@@ -271,8 +296,9 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
   scoped.memory_accesses += unresolved;
 }
 
-void CacheHierarchy::access_one(std::uint64_t addr, std::uint32_t size,
-                                bool is_store, AccessCounters& scoped) {
+void CacheHierarchy::access_one(std::uint32_t thread, std::uint64_t addr,
+                                std::uint32_t size, bool is_store,
+                                AccessCounters& scoped) {
   auto count_ref = [&](AccessCounters& c) {
     ++c.refs;
     if (is_store)
@@ -309,14 +335,14 @@ void CacheHierarchy::access_one(std::uint64_t addr, std::uint32_t size,
     ++scoped.line_accesses;
     bool resolved = false;
     bool l1_hit = false;
-    for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-      const AccessOutcome outcome = levels_[lvl].access(line, is_store);
+    for (std::size_t lvl = 0; lvl < config_.levels.size(); ++lvl) {
+      const AccessOutcome outcome = level(thread, lvl).access(line, is_store);
       if (outcome.writeback) {
         ++totals_.writebacks;
         ++scoped.writebacks;
       }
-      // Inclusive hierarchy: a victim leaving level lvl must also leave
-      // every shallower level.
+      // Inclusive hierarchy (one thread only): a victim leaving level lvl
+      // must also leave every shallower level.
       if (config_.inclusive && outcome.evicted && lvl > 0) {
         for (std::size_t upper = 0; upper < lvl; ++upper)
           levels_[upper].invalidate(outcome.evicted_line);

@@ -13,6 +13,13 @@
 // hit_rate(j) is the fraction of line accesses resolved at level ≤ j — which
 // matches the paper's Tables II/III where L1 ≤ L2 ≤ L3 rates grow as data
 // migrates into cache.
+//
+// Hybrid MPI/OpenMP ranks (Section III-A: trace in the target's
+// parallelization mode) are the same class with a thread count: each of the
+// rank's T threads gets private copies of the levels below the first shared
+// level, the deeper levels are shared, so thread streams genuinely contend
+// for the shared capacity.  Accounting stays rank-level (aggregated over
+// threads), matching the per-task trace files the methodology consumes.
 #pragma once
 
 #include <array>
@@ -54,6 +61,12 @@ struct AccessCounters {
   /// resolved at level ≤ `level`.  Returns 0 when no accesses were made.
   double cumulative_hit_rate(std::size_t level) const;
 
+  /// cumulative_hit_rate of each of the `levels` simulated levels, as
+  /// traces and machine profiles store them: slots past the hierarchy
+  /// inherit the deepest simulated rate (a 2-level machine's "L3" rate
+  /// equals its L2 rate).
+  std::array<double, kMaxLevels> cumulative_hit_rates(std::size_t levels) const;
+
   /// Merges another counter set into this one.
   void merge(const AccessCounters& other);
 };
@@ -63,23 +76,31 @@ struct AccessCounters {
 /// traced process).
 class CacheHierarchy {
  public:
-  /// Validates and captures the configuration.
-  explicit CacheHierarchy(HierarchyConfig config);
+  /// Validates and captures the configuration.  `threads` simulated threads
+  /// share the rank: levels [0, shared_from) are private to each thread,
+  /// levels [shared_from, n) are shared (`shared_from` must not exceed the
+  /// level count).  Private levels of thread t are seeded seed + level +
+  /// t·131, shared ones seed + level, so one thread is exactly the plain
+  /// hierarchy.  More than one thread models neither prefetch, TLB nor
+  /// inclusion, and such configurations are rejected.
+  explicit CacheHierarchy(HierarchyConfig config, std::uint32_t threads = 1,
+                          std::size_t shared_from = 0);
 
   /// Sets the accounting scope for subsequent accesses; scopes are created
   /// on first use.  Scope id 0 is reserved for "no block".
   void set_scope(std::uint64_t block_id);
 
-  /// Streams one reference through the hierarchy, updating the totals and
-  /// the current scope's counters.
-  void access(const MemRef& ref);
+  /// Streams one reference of `thread` through its private levels and the
+  /// shared levels, updating the totals and the current scope's counters.
+  void access(const MemRef& ref, std::uint32_t thread = 0);
 
-  /// Replays a staged block of references within the current scope,
-  /// counter-identical to calling access() per reference.  When the
-  /// configuration allows (no prefetcher, non-inclusive, deterministic
-  /// replacement) the block takes the grouped fast path: references are
-  /// flattened into line probes once, then each level processes its
-  /// surviving probes bucketed by set index in ascending set order.
+  /// Replays a staged block of references within the current scope, each
+  /// from the thread the block names, counter-identical to calling
+  /// access() per reference.  When the configuration allows (one thread,
+  /// no prefetcher, non-inclusive, deterministic replacement) the block
+  /// takes the grouped fast path: references are flattened into line
+  /// probes once, then each level processes its surviving probes bucketed
+  /// by set index in ascending set order.
   /// Within a set, probes keep stream order, and set states are mutually
   /// independent, so every hit/victim decision — and therefore every
   /// counter — matches the one-at-a-time walk; what changes is only the
@@ -97,7 +118,10 @@ class CacheHierarchy {
   const std::unordered_map<std::uint64_t, AccessCounters>& scopes() const { return scopes_; }
 
   /// Number of configured cache levels.
-  std::size_t num_levels() const { return levels_.size(); }
+  std::size_t num_levels() const { return config_.levels.size(); }
+
+  /// Simulated threads sharing the hierarchy.
+  std::uint32_t threads() const { return threads_; }
 
   /// Prefetch lines issued by the stride prefetcher so far.
   std::uint64_t prefetches_issued() const { return prefetches_issued_; }
@@ -108,13 +132,17 @@ class CacheHierarchy {
   const HierarchyConfig& config() const { return config_; }
 
  private:
-  void access_one(std::uint64_t addr, std::uint32_t size, bool is_store,
-                  AccessCounters& scoped);
+  void access_one(std::uint32_t thread, std::uint64_t addr, std::uint32_t size,
+                  bool is_store, AccessCounters& scoped);
   void access_block_grouped(const RefBlock& block, AccessCounters& scoped);
   void tlb_access(std::uint64_t page, AccessCounters& scoped);
   void prefetcher_observe_miss(std::uint64_t line);
 
   HierarchyConfig config_;
+  std::uint32_t threads_;
+  std::size_t shared_from_;
+  /// Every thread's private levels (thread-major), then the shared levels.
+  /// With one thread this is the plain level list.
   std::vector<CacheLevel> levels_;
   std::uint32_t line_shift_;
   std::uint64_t scope_ = 0;
@@ -138,7 +166,13 @@ class CacheHierarchy {
   std::size_t stream_cursor_ = 0;
   std::uint64_t prefetches_issued_ = 0;
 
+  /// Level `lvl` as seen by `thread`.
+  CacheLevel& level(std::uint32_t thread, std::size_t lvl) {
+    return levels_[lvl + (lvl < shared_from_ ? thread : threads_ - 1) * shared_from_];
+  }
+
   /// True when access_block may take the grouped level-at-a-time path:
+  /// a hybrid rank's probes split across per-thread private levels,
   /// prefetching would couple miss order across sets, inclusive
   /// back-invalidation couples levels, and Random replacement consumes rng
   /// draws in probe order.  Fixed by the config, so computed once.

@@ -1,12 +1,10 @@
 #include "psins/reference.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "memsim/hierarchy.hpp"
-#include "memsim/threaded.hpp"
 #include "simmpi/replay.hpp"
-#include "synth/patterns.hpp"
+#include "synth/replay.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -20,16 +18,10 @@ double simulate_rank_compute_seconds(const synth::SyntheticApp& app, std::uint32
                                      std::uint32_t rank,
                                      const machine::MachineProfile& machine,
                                      const ReferenceOptions& options) {
+  const memsim::HierarchyConfig& hierarchy = machine.system.hierarchy;
   const std::uint32_t threads = std::max<std::uint32_t>(options.threads_per_rank, 1);
-  std::optional<memsim::CacheHierarchy> flat;
-  std::optional<memsim::ThreadedHierarchy> threaded;
-  if (threads == 1) {
-    flat.emplace(machine.system.hierarchy);
-  } else {
-    threaded.emplace(machine.system.hierarchy, threads,
-                     std::min(options.shared_from_level,
-                              machine.system.hierarchy.levels.size()));
-  }
+  memsim::CacheHierarchy sim(hierarchy, threads,
+                             std::min(options.shared_from_level, hierarchy.levels.size()));
   double seconds = 0.0;
 
   for (const synth::KernelSpec& kernel : app.kernels(cores, rank)) {
@@ -39,38 +31,13 @@ double simulate_rank_compute_seconds(const synth::SyntheticApp& app, std::uint32
         sim_refs > 0 ? static_cast<double>(total_refs) / static_cast<double>(sim_refs) : 0.0;
 
     if (sim_refs > 0) {
-      // Same stream construction (slicing, seeds) as the tracer: the
-      // "machine" executes the same address streams the tracer observed.
-      const std::uint64_t slice_bytes = synth::thread_slice_bytes(
-          kernel.footprint_bytes, threads, machine.system.hierarchy.line_bytes());
-      std::vector<synth::RefStream> streams;
-      streams.reserve(threads);
-      for (std::uint32_t t = 0; t < threads; ++t) {
-        synth::StreamSpec spec;
-        spec.pattern = kernel.pattern;
-        spec.base_addr = (kernel.block_id << 40) + t * slice_bytes;
-        spec.footprint_bytes = slice_bytes;
-        spec.elem_bytes = kernel.elem_bytes;
-        spec.stride_elems = kernel.stride_elems;
-        spec.store_fraction = kernel.store_fraction;
-        streams.emplace_back(spec, util::derive_seed(0x7ace, kernel.block_id * 64 + t));
-      }
-
-      if (flat)
-        flat->set_scope(kernel.block_id);
-      else
-        threaded->set_scope(kernel.block_id);
-      const memsim::AccessCounters before =
-          flat ? flat->scope(kernel.block_id) : threaded->scope(kernel.block_id);
-      for (std::uint64_t i = 0; i < sim_refs; ++i) {
-        const auto t = static_cast<std::uint32_t>(i % threads);
-        if (flat)
-          flat->access(streams[t].next());
-        else
-          threaded->access(t, streams[t].next());
-      }
-      memsim::AccessCounters delta =
-          flat ? flat->scope(kernel.block_id) : threaded->scope(kernel.block_id);
+      // The tracer's streams: the "machine" executes the same address
+      // streams the tracer observed.
+      std::vector<synth::RefStream> streams =
+          synth::kernel_streams(kernel, threads, hierarchy.line_bytes(), synth::kStreamSeed);
+      const memsim::AccessCounters before = sim.scope(kernel.block_id);
+      synth::replay(sim, streams, sim_refs, kernel.block_id);
+      memsim::AccessCounters delta = sim.scope(kernel.block_id);
       delta.line_accesses -= before.line_accesses;
       for (std::size_t lvl = 0; lvl < memsim::kMaxLevels; ++lvl)
         delta.level_hits[lvl] -= before.level_hits[lvl];

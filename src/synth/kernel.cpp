@@ -43,12 +43,4 @@ double linear_growth(double base, double slope, double p) { return base + slope 
 
 }  // namespace laws
 
-std::uint64_t thread_slice_bytes(std::uint64_t footprint_bytes, std::uint32_t threads,
-                                 std::uint32_t line_bytes) {
-  PMACX_CHECK(threads > 0, "thread_slice_bytes: zero threads");
-  PMACX_CHECK(line_bytes > 0, "thread_slice_bytes: zero line size");
-  const std::uint64_t raw = std::max<std::uint64_t>(footprint_bytes / threads, line_bytes);
-  return (raw + line_bytes - 1) / line_bytes * line_bytes;
-}
-
 }  // namespace pmacx::synth

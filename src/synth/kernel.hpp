@@ -78,11 +78,4 @@ double linear_growth(double base, double slope, double p);
 
 }  // namespace laws
 
-/// Per-thread slice of a kernel footprint for hybrid tracing, rounded up to
-/// a cache-line multiple (as real OpenMP partitions are, to avoid false
-/// sharing).  Misaligned slices would make a fraction of references
-/// straddle two lines — skewing every line-granular statistic.
-std::uint64_t thread_slice_bytes(std::uint64_t footprint_bytes, std::uint32_t threads,
-                                 std::uint32_t line_bytes);
-
 }  // namespace pmacx::synth

@@ -1,14 +1,12 @@
 #include "synth/tracer.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "memsim/hierarchy.hpp"
-#include "memsim/threaded.hpp"
+#include "synth/replay.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace pmacx::synth {
@@ -23,19 +21,6 @@ std::uint64_t instr_scope(std::uint64_t block_id, std::uint32_t instr) {
   return block_id * kScopeStride + instr + 1;
 }
 
-/// Fills the three hit-rate slots from counters; levels beyond the simulated
-/// hierarchy inherit the deepest simulated level's cumulative rate (a 2-level
-/// machine's "L3" rate equals its L2 rate).
-template <typename SetRate>
-void fill_hit_rates(const memsim::AccessCounters& counters, std::size_t levels,
-                    SetRate&& set_rate) {
-  double rate = 0.0;
-  for (std::size_t lvl = 0; lvl < memsim::kMaxLevels; ++lvl) {
-    if (lvl < levels) rate = counters.cumulative_hit_rate(lvl);
-    set_rate(lvl, rate);
-  }
-}
-
 }  // namespace
 
 trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::uint32_t rank,
@@ -46,35 +31,10 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
   memsim::HierarchyConfig target = options.target;
   target.sample_shift = options.sample_shift;
 
-  // Pure-MPI mode uses the scalar hierarchy; hybrid mode the thread-aware
-  // one (private shallow levels, shared deep levels).  The thin adapters
-  // below keep the kernel loop common to both.
+  // Hybrid mode: private shallow levels per thread, shared deep levels.
   const std::uint32_t threads = std::max<std::uint32_t>(options.threads_per_rank, 1);
-  std::optional<memsim::CacheHierarchy> flat;
-  std::optional<memsim::ThreadedHierarchy> threaded;
-  if (threads == 1) {
-    flat.emplace(target);
-  } else {
-    const std::size_t shared_from =
-        std::min(options.shared_from_level, target.levels.size());
-    threaded.emplace(target, threads, shared_from);
-  }
-  auto set_scope = [&](std::uint64_t scope_id) {
-    if (flat)
-      flat->set_scope(scope_id);
-    else
-      threaded->set_scope(scope_id);
-  };
-  auto access = [&](std::uint32_t thread, const memsim::MemRef& ref) {
-    if (flat)
-      flat->access(ref);
-    else
-      threaded->access(thread, ref);
-  };
-  auto scope_of = [&](std::uint64_t scope_id) -> const memsim::AccessCounters& {
-    return flat ? flat->scope(scope_id) : threaded->scope(scope_id);
-  };
-
+  memsim::CacheHierarchy sim(target, threads,
+                             std::min(options.shared_from_level, target.levels.size()));
   const std::size_t levels = options.target.levels.size();
 
   trace::TaskTrace task;
@@ -96,45 +56,19 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     const double count_scale =
         sim_refs > 0 ? static_cast<double>(total_refs) / static_cast<double>(sim_refs) : 0.0;
 
-    // One stream per thread, each over its slice of the kernel's footprint
-    // (an OpenMP-style static partition); pure MPI is the 1-thread case
-    // over the whole region.  Disjoint address regions per block keep
-    // kernels from aliasing in the simulated caches, like distinct
-    // allocations do in a real address space.
-    const std::uint64_t slice_bytes =
-        thread_slice_bytes(kernel.footprint_bytes, threads, options.target.line_bytes());
-    std::vector<RefStream> streams;
-    streams.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) {
-      StreamSpec stream_spec;
-      stream_spec.pattern = kernel.pattern;
-      stream_spec.base_addr = (kernel.block_id << 40) + t * slice_bytes;
-      stream_spec.footprint_bytes = slice_bytes;
-      stream_spec.elem_bytes = kernel.elem_bytes;
-      stream_spec.stride_elems = kernel.stride_elems;
-      stream_spec.store_fraction = kernel.store_fraction;
-      streams.emplace_back(stream_spec,
-                           util::derive_seed(options.seed, kernel.block_id * 64 + t));
-    }
-
+    // Chunked instruction attribution: instruction k owns the k-th slice
+    // of the kernel's reference stream, so early instructions absorb the
+    // cold misses and later ones run warm — per-instruction hit-rate
+    // diversity as in the paper's Fig. 4/5.
     const std::uint32_t mem_instrs = std::max<std::uint32_t>(kernel.mem_instructions, 1);
-    for (std::uint64_t i = 0; i < sim_refs; ++i) {
-      // Chunked instruction attribution: instruction k owns the k-th slice
-      // of the kernel's reference stream, so early instructions absorb the
-      // cold misses and later ones run warm — per-instruction hit-rate
-      // diversity as in the paper's Fig. 4/5.
-      const std::uint32_t instr =
-          static_cast<std::uint32_t>((i * mem_instrs) / std::max<std::uint64_t>(sim_refs, 1));
-      set_scope(instr_scope(kernel.block_id, instr));
-      const auto thread = static_cast<std::uint32_t>(i % threads);
-      const memsim::MemRef ref = streams[thread].next();
-      access(thread, ref);
-    }
+    std::vector<RefStream> streams =
+        kernel_streams(kernel, threads, options.target.line_bytes(), options.seed);
+    replay(sim, streams, sim_refs, instr_scope(kernel.block_id, 0), mem_instrs);
 
     // Merge instruction scopes into the block aggregate.
     memsim::AccessCounters block_counters;
     for (std::uint32_t instr = 0; instr < mem_instrs; ++instr)
-      block_counters.merge(scope_of(instr_scope(kernel.block_id, instr)));
+      block_counters.merge(sim.scope(instr_scope(kernel.block_id, instr)));
 
     trace::BasicBlockRecord record;
     record.id = kernel.block_id;
@@ -160,12 +94,10 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
                static_cast<double>(total_refs) * (1.0 - load_fraction));
     record.set(trace::BlockElement::BytesPerRef, static_cast<double>(kernel.elem_bytes));
 
-    fill_hit_rates(block_counters, levels, [&](std::size_t lvl, double rate) {
-      const trace::BlockElement slots[] = {trace::BlockElement::HitRateL1,
-                                           trace::BlockElement::HitRateL2,
-                                           trace::BlockElement::HitRateL3};
-      record.set(slots[lvl], rate);
-    });
+    const auto block_rates = block_counters.cumulative_hit_rates(levels);
+    record.set(trace::BlockElement::HitRateL1, block_rates[0]);
+    record.set(trace::BlockElement::HitRateL2, block_rates[1]);
+    record.set(trace::BlockElement::HitRateL3, block_rates[2]);
 
     // The block's true data region; sampling would under-report footprints
     // of heavily sampled kernels, so report the region size (what a full
@@ -178,19 +110,17 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
     if (options.instruction_detail) {
       // Memory instructions: measured per-slice rates, analytic counts.
       for (std::uint32_t instr = 0; instr < mem_instrs && kernel.refs_per_visit > 0; ++instr) {
-        const memsim::AccessCounters& c = scope_of(instr_scope(kernel.block_id, instr));
+        const memsim::AccessCounters& c = sim.scope(instr_scope(kernel.block_id, instr));
         trace::InstructionRecord rec;
         rec.index = instr;
         rec.set(trace::InstrElement::ExecCount, static_cast<double>(c.refs) * count_scale);
         rec.set(trace::InstrElement::MemOps, static_cast<double>(c.refs) * count_scale);
         rec.set(trace::InstrElement::BytesPerOp, static_cast<double>(kernel.elem_bytes));
         rec.set(trace::InstrElement::FpOps, 0.0);
-        fill_hit_rates(c, levels, [&](std::size_t lvl, double rate) {
-          const trace::InstrElement slots[] = {trace::InstrElement::HitRateL1,
-                                               trace::InstrElement::HitRateL2,
-                                               trace::InstrElement::HitRateL3};
-          rec.set(slots[lvl], rate);
-        });
+        const auto rates = c.cumulative_hit_rates(levels);
+        rec.set(trace::InstrElement::HitRateL1, rates[0]);
+        rec.set(trace::InstrElement::HitRateL2, rates[1]);
+        rec.set(trace::InstrElement::HitRateL3, rates[2]);
         record.instructions.push_back(rec);
       }
       // Floating-point instructions: analytic shares of the fp mix.
@@ -220,7 +150,7 @@ trace::TaskTrace trace_task(const SyntheticApp& app, std::uint32_t cores, std::u
   metrics.counter("trace.blocks_traced").add(kernels.size());
   metrics.counter("trace.refs_simulated").add(refs_simulated);
   metrics.counter("trace.sampling_cap_hits").add(sampling_cap_hits);
-  const memsim::AccessCounters& totals = flat ? flat->totals() : threaded->totals();
+  const memsim::AccessCounters& totals = sim.totals();
   metrics.counter("memsim.refs").add(totals.refs);
   metrics.counter("memsim.loads").add(totals.loads);
   metrics.counter("memsim.stores").add(totals.stores);

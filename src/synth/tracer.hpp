@@ -18,6 +18,7 @@
 
 #include "memsim/config.hpp"
 #include "synth/app.hpp"
+#include "synth/replay.hpp"
 #include "trace/signature.hpp"
 
 namespace pmacx::util {
@@ -50,7 +51,7 @@ struct TracerOptions {
   /// level detail for extrapolation).
   bool instruction_detail = true;
   /// Seed for the generated address streams.
-  std::uint64_t seed = 0x7ace;
+  std::uint64_t seed = kStreamSeed;
   /// Host-side execution pool (not owned; null = serial).  collect_signature
   /// fans independent per-rank trace_task simulations and per-rank comm
   /// trace instantiation across it.  This is an *execution* knob — distinct

@@ -1,10 +1,9 @@
-// Tests for the thread-aware hierarchy (hybrid MPI/OpenMP tracing):
+// Tests for the hierarchy's simulated threads (hybrid MPI/OpenMP tracing):
 // private-level isolation, shared-level contention, aggregation, and
-// equivalence with the scalar hierarchy in the 1-thread case.
+// equivalence with the plain hierarchy in the 1-thread case.
 #include <gtest/gtest.h>
 
 #include "memsim/hierarchy.hpp"
-#include "memsim/threaded.hpp"
 #include "synth/patterns.hpp"
 #include "util/error.hpp"
 
@@ -15,7 +14,6 @@ using memsim::CacheHierarchy;
 using memsim::CacheLevelConfig;
 using memsim::HierarchyConfig;
 using memsim::MemRef;
-using memsim::ThreadedHierarchy;
 
 HierarchyConfig two_level(std::uint64_t l1_lines = 16, std::uint64_t l2_lines = 128) {
   CacheLevelConfig l1;
@@ -37,11 +35,11 @@ MemRef load(std::uint64_t addr) { return {addr, 8, false}; }
 TEST(ThreadedTest, PrivateLevelsAreIsolated) {
   // Private L1 (16 lines), shared L2.  Thread 1 sweeps a large region;
   // thread 0's small working set must stay in ITS OWN L1.
-  ThreadedHierarchy h(two_level(), 2, /*shared_from=*/1);
-  for (std::uint64_t line = 0; line < 8; ++line) h.access(0, load(line * 64));
-  for (std::uint64_t line = 100; line < 200; ++line) h.access(1, load(line * 64));
+  CacheHierarchy h(two_level(), 2, /*shared_from=*/1);
+  for (std::uint64_t line = 0; line < 8; ++line) h.access(load(line * 64), 0);
+  for (std::uint64_t line = 100; line < 200; ++line) h.access(load(line * 64), 1);
   const auto before = h.totals().level_hits[0];
-  for (std::uint64_t line = 0; line < 8; ++line) h.access(0, load(line * 64));
+  for (std::uint64_t line = 0; line < 8; ++line) h.access(load(line * 64), 0);
   EXPECT_EQ(h.totals().level_hits[0], before + 8);  // all L1 hits
 }
 
@@ -50,63 +48,75 @@ TEST(ThreadedTest, SharedLevelShowsContention) {
   // 128-line L2; alone one thread fits.  Shared-mode L2 hit rate must be
   // strictly worse than a single thread's.
   auto run = [](std::uint32_t threads) {
-    ThreadedHierarchy h(two_level(), threads, 1);
+    CacheHierarchy h(two_level(), threads, 1);
     for (int pass = 0; pass < 4; ++pass)
       for (std::uint64_t line = 0; line < 96; ++line)
         for (std::uint32_t t = 0; t < threads; ++t)
-          h.access(t, load((t * 4096 + line) * 64));
+          h.access(load((t * 4096 + line) * 64), t);
     return h.totals().cumulative_hit_rate(1);
   };
   EXPECT_GT(run(1), run(2) + 0.05);
 }
 
 TEST(ThreadedTest, SingleThreadMatchesScalarHierarchy) {
-  HierarchyConfig cfg = two_level();
-  ThreadedHierarchy threaded(cfg, 1, 1);
-  CacheHierarchy scalar(cfg);
-  synth::StreamSpec spec;
-  spec.pattern = synth::Pattern::Gather;
-  spec.base_addr = 0;
-  spec.footprint_bytes = 1 << 16;
-  spec.elem_bytes = 8;
-  synth::RefStream a(spec, 5), b(spec, 5);
-  for (int i = 0; i < 50'000; ++i) {
-    threaded.access(0, a.next());
-    scalar.access(b.next());
+  // Plain and inclusive (a 4-way L2 back-invalidating the L1) hierarchies.
+  HierarchyConfig inclusive = two_level(16, 64);
+  inclusive.levels[1].associativity = 4;
+  inclusive.inclusive = true;
+  for (const HierarchyConfig& cfg : {two_level(), inclusive}) {
+    CacheHierarchy threaded(cfg, 1, 1);
+    CacheHierarchy scalar(cfg);
+    synth::StreamSpec spec;
+    spec.pattern = synth::Pattern::Gather;
+    spec.base_addr = 0;
+    spec.footprint_bytes = 1 << 16;
+    spec.elem_bytes = 8;
+    synth::RefStream a(spec, 5), b(spec, 5);
+    for (int i = 0; i < 50'000; ++i) {
+      threaded.access(a.next(), 0);
+      scalar.access(b.next());
+    }
+    for (std::size_t lvl = 0; lvl < 2; ++lvl)
+      EXPECT_NEAR(threaded.totals().cumulative_hit_rate(lvl),
+                  scalar.totals().cumulative_hit_rate(lvl), 1e-12)
+          << "inclusive " << cfg.inclusive << " level " << lvl;
   }
-  for (std::size_t lvl = 0; lvl < 2; ++lvl)
-    EXPECT_NEAR(threaded.totals().cumulative_hit_rate(lvl),
-                scalar.totals().cumulative_hit_rate(lvl), 1e-12);
 }
 
 TEST(ThreadedTest, ScopesAggregateAcrossThreads) {
-  ThreadedHierarchy h(two_level(), 2, 1);
+  CacheHierarchy h(two_level(), 2, 1);
   h.set_scope(7);
-  h.access(0, load(0));
-  h.access(1, load(64));
+  h.access(load(0), 0);
+  h.access(load(64), 1);
   EXPECT_EQ(h.scope(7).refs, 2u);
   EXPECT_EQ(h.totals().refs, 2u);
   EXPECT_EQ(h.scope(99).refs, 0u);
 }
 
 TEST(ThreadedTest, ShareEverythingAndShareNothingExtremes) {
-  EXPECT_NO_THROW(ThreadedHierarchy(two_level(), 4, 0));  // all levels shared
-  EXPECT_NO_THROW(ThreadedHierarchy(two_level(), 4, 2));  // all private
+  EXPECT_NO_THROW(CacheHierarchy(two_level(), 4, 0));  // all levels shared
+  EXPECT_NO_THROW(CacheHierarchy(two_level(), 4, 2));  // all private
   // All-shared with one thread still behaves.
-  ThreadedHierarchy h(two_level(), 1, 0);
-  h.access(0, load(0));
+  CacheHierarchy h(two_level(), 1, 0);
+  h.access(load(0), 0);
   EXPECT_EQ(h.totals().memory_accesses, 1u);
 }
 
 TEST(ThreadedTest, Validation) {
-  EXPECT_THROW(ThreadedHierarchy(two_level(), 0, 1), util::Error);
-  EXPECT_THROW(ThreadedHierarchy(two_level(), 2, 5), util::Error);
-  ThreadedHierarchy h(two_level(), 2, 1);
-  EXPECT_THROW(h.access(7, load(0)), util::Error);
-  EXPECT_THROW(h.access(0, MemRef{0, 0, false}), util::Error);  // zero-size ref
+  EXPECT_THROW(CacheHierarchy(two_level(), 0, 1), util::Error);
+  EXPECT_THROW(CacheHierarchy(two_level(), 2, 5), util::Error);
+  CacheHierarchy h(two_level(), 2, 1);
+  EXPECT_THROW(h.access(load(0), 7), util::Error);
+  EXPECT_THROW(h.access(MemRef{0, 0, false}, 0), util::Error);  // zero-size ref
   HierarchyConfig with_prefetch = two_level();
   with_prefetch.prefetch.enabled = true;
-  EXPECT_THROW(ThreadedHierarchy(with_prefetch, 2, 1), util::Error);
+  EXPECT_THROW(CacheHierarchy(with_prefetch, 2, 1), util::Error);
+  // Threads never back-invalidate, so an inclusive hybrid rank is rejected
+  // instead of silently simulated as non-inclusive.
+  HierarchyConfig inclusive = two_level();
+  inclusive.inclusive = true;
+  EXPECT_THROW(CacheHierarchy(inclusive, 2, 1), util::Error);
+  EXPECT_NO_THROW(CacheHierarchy(inclusive, 1, 1));
 }
 
 }  // namespace

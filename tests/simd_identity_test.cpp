@@ -13,9 +13,8 @@
 
 #include "core/extrapolator.hpp"
 #include "machine/targets.hpp"
-#include "memsim/parallel_replay.hpp"
 #include "memsim/ref_block.hpp"
-#include "synth/patterns.hpp"
+#include "synth/replay.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/task_trace.hpp"
 #include "util/arena.hpp"
@@ -139,18 +138,40 @@ TEST(SimdIdentityTest, FittedModelSetIdenticalAcrossLevels) {
 
 // -------------------------------------------------------------- cache sim ----
 
-memsim::RankStreamFactory identity_factory(synth::Pattern pattern) {
-  return [pattern](std::uint32_t rank) -> memsim::RefGenerator {
-    synth::StreamSpec spec;
-    spec.pattern = pattern;
-    spec.base_addr = (1ull << 40) + (static_cast<std::uint64_t>(rank) << 30);
-    spec.footprint_bytes = 1u << 20;
-    spec.elem_bytes = 8;
-    spec.stride_elems = 3;
-    spec.store_fraction = 0.25;
-    synth::RefStream stream(spec, 4000 + rank);
-    return [stream]() mutable { return stream.next(); };
-  };
+/// Per-thread streams of one strided/random/sequential kernel, built by
+/// synth::kernel_streams.
+std::vector<synth::RefStream> identity_streams(synth::Pattern pattern, std::uint64_t block_id,
+                                               std::uint32_t threads) {
+  synth::KernelSpec kernel;
+  kernel.block_id = block_id;
+  kernel.pattern = pattern;
+  kernel.footprint_bytes = 1u << 20;
+  kernel.elem_bytes = 8;
+  kernel.stride_elems = 3;
+  kernel.store_fraction = 0.25;
+  return synth::kernel_streams(kernel, threads, 64, 4000);
+}
+
+/// A rank's hierarchy: `threads` threads with private levels above a shared
+/// last level (a no-op split at one thread).
+memsim::CacheHierarchy identity_hierarchy(const memsim::HierarchyConfig& config,
+                                          std::uint32_t threads) {
+  return memsim::CacheHierarchy(config, threads, config.levels.size() - 1);
+}
+
+/// Totals of four ranks' kernels replayed through synth::replay, each on its
+/// own hierarchy, with the stream split over four instruction scopes.
+std::vector<memsim::AccessCounters> replay_counters(const memsim::HierarchyConfig& config,
+                                                    synth::Pattern pattern,
+                                                    std::uint32_t threads) {
+  std::vector<memsim::AccessCounters> totals;
+  for (std::uint64_t rank = 0; rank < 4; ++rank) {
+    memsim::CacheHierarchy sim = identity_hierarchy(config, threads);
+    std::vector<synth::RefStream> streams = identity_streams(pattern, rank + 1, threads);
+    synth::replay(sim, streams, 30'000, /*first_scope=*/1, /*scopes=*/4);
+    totals.push_back(sim.totals());
+  }
+  return totals;
 }
 
 void expect_identical(const memsim::AccessCounters& a, const memsim::AccessCounters& b) {
@@ -168,52 +189,67 @@ void expect_identical(const memsim::AccessCounters& a, const memsim::AccessCount
 
 TEST(SimdIdentityTest, CacheReplayCountersIdenticalAcrossLevels) {
   // Hierarchies capture their find_tag kernel at construction, so the level
-  // must be pinned before replay_ranks constructs them.
+  // must be pinned before replay_counters constructs them.  One thread takes
+  // the grouped block path, four (hybrid) the per-reference walk.
   const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
-  for (const synth::Pattern pattern :
-       {synth::Pattern::Sequential, synth::Pattern::Random, synth::Pattern::Strided}) {
-    std::vector<memsim::RankReplay> scalar_replay;
-    {
-      ForcedLevel forced(Level::Scalar);
-      scalar_replay = memsim::replay_ranks(config, 4, 30'000, identity_factory(pattern));
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const synth::Pattern pattern :
+         {synth::Pattern::Sequential, synth::Pattern::Random, synth::Pattern::Strided}) {
+      std::vector<memsim::AccessCounters> scalar_replay;
+      {
+        ForcedLevel forced(Level::Scalar);
+        scalar_replay = replay_counters(config, pattern, threads);
+      }
+      if (!util::simd::avx2_available()) GTEST_SKIP() << "AVX2 not available";
+      ForcedLevel forced(Level::Avx2);
+      const auto avx2_replay = replay_counters(config, pattern, threads);
+      ASSERT_EQ(scalar_replay.size(), avx2_replay.size());
+      for (std::size_t r = 0; r < scalar_replay.size(); ++r)
+        expect_identical(scalar_replay[r], avx2_replay[r]);
     }
-    if (!util::simd::avx2_available()) GTEST_SKIP() << "AVX2 not available";
-    ForcedLevel forced(Level::Avx2);
-    const auto avx2_replay =
-        memsim::replay_ranks(config, 4, 30'000, identity_factory(pattern));
-    ASSERT_EQ(scalar_replay.size(), avx2_replay.size());
-    for (std::size_t r = 0; r < scalar_replay.size(); ++r)
-      expect_identical(scalar_replay[r].counters, avx2_replay[r].counters);
   }
 }
 
 TEST(SimdIdentityTest, AccessBlockMatchesPerRefAccess) {
   const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
-  memsim::RefGenerator gen_a = identity_factory(synth::Pattern::Strided)(0);
-  memsim::RefGenerator gen_b = identity_factory(synth::Pattern::Strided)(0);
+  // A block size that leaves a ragged tail on the final refill, and a scope
+  // switch on a block boundary mid-stream.
+  constexpr std::size_t kBlockRefs = 1013;
+  constexpr std::size_t kRefs = 50'000;
+  constexpr std::size_t kSwitchAt = 20 * kBlockRefs;
+  for (const std::uint32_t threads : {1u, 4u}) {
+    std::vector<synth::RefStream> streams_a =
+        identity_streams(synth::Pattern::Strided, 1, threads);
+    std::vector<synth::RefStream> streams_b =
+        identity_streams(synth::Pattern::Strided, 1, threads);
 
-  memsim::CacheHierarchy one_at_a_time(config);
-  one_at_a_time.set_scope(7);
-  for (int i = 0; i < 50'000; ++i) one_at_a_time.access(gen_a());
-
-  memsim::CacheHierarchy blocked(config);
-  blocked.set_scope(7);
-  util::Arena arena;
-  // A block size that leaves a ragged tail on the final refill.
-  memsim::RefBlockBuilder builder(arena, 1013);
-  int remaining = 50'000;
-  while (remaining > 0) {
-    builder.clear();
-    while (remaining > 0 && !builder.full()) {
-      const memsim::MemRef ref = gen_b();
-      builder.push(ref.addr, ref.size, ref.is_store);
-      --remaining;
+    memsim::CacheHierarchy one_at_a_time = identity_hierarchy(config, threads);
+    for (std::size_t i = 0; i < kRefs; ++i) {
+      if (i == 0 || i == kSwitchAt) one_at_a_time.set_scope(i == 0 ? 7 : 8);
+      const auto thread = static_cast<std::uint32_t>(i % threads);
+      one_at_a_time.access(streams_a[thread].next(), thread);
     }
-    blocked.access_block(builder.block());
-  }
 
-  expect_identical(one_at_a_time.totals(), blocked.totals());
-  expect_identical(one_at_a_time.scope(7), blocked.scope(7));
+    memsim::CacheHierarchy blocked = identity_hierarchy(config, threads);
+    util::Arena arena;
+    memsim::RefBlockBuilder builder(arena, kBlockRefs);
+    std::size_t i = 0;
+    while (i < kRefs) {
+      blocked.set_scope(i < kSwitchAt ? 7 : 8);
+      builder.clear();
+      for (; i < kRefs && !builder.full(); ++i) {
+        const auto thread = static_cast<std::uint32_t>(i % threads);
+        const memsim::MemRef ref = streams_b[thread].next();
+        builder.push(ref.addr, ref.size, ref.is_store, thread);
+      }
+      blocked.access_block(builder.block());
+    }
+
+    expect_identical(one_at_a_time.totals(), blocked.totals());
+    expect_identical(one_at_a_time.scope(7), blocked.scope(7));
+    expect_identical(one_at_a_time.scope(8), blocked.scope(8));
+    EXPECT_EQ(blocked.scope(8).refs, kRefs - kSwitchAt);
+  }
 }
 
 }  // namespace

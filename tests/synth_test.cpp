@@ -15,6 +15,7 @@
 #include "synth/tracer.hpp"
 #include "synth/uh3d.hpp"
 #include "util/error.hpp"
+#include "util/threadpool.hpp"
 
 namespace pmacx {
 namespace {
@@ -316,6 +317,15 @@ TEST(TracerTest, CollectSignatureExtraRanks) {
   const auto signature =
       synth::collect_signature(app, 16, tracer_options(), {0, 8, 8, 15});
   EXPECT_EQ(signature.tasks.size(), 3u);  // deduplicated
+
+  // The tools fan ranks out across a pool; each rank owns its hierarchy and
+  // streams and results keep rank order, so not one bit may move.
+  util::ThreadPool pool(4);
+  synth::TracerOptions pooled = tracer_options();
+  pooled.pool = &pool;
+  const auto parallel = synth::collect_signature(app, 16, pooled, {0, 8, 15});
+  EXPECT_EQ(parallel.tasks, signature.tasks);
+  EXPECT_EQ(parallel.comm, signature.comm);
 }
 
 TEST(TracerTest, SetSamplingPreservesHitRates) {

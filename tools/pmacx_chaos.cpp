@@ -528,6 +528,20 @@ int main(int argc, char** argv) {
     }
 
     tools::SpawnedServer spawned;
+    // Any exit before the orderly teardown below (a failed warm-up check, a
+    // proxy error) stops and reaps the spawned server, as the supervisor
+    // does in cluster mode: an orphan would keep our stderr open.
+    struct ServerStopper {
+      explicit ServerStopper(pid_t& pid) : pid(pid) {}
+      ServerStopper(const ServerStopper&) = delete;
+      ServerStopper& operator=(const ServerStopper&) = delete;
+      ~ServerStopper() {
+        if (pid <= 0) return;
+        ::kill(pid, SIGTERM);
+        tools::reap_by(pid, std::chrono::steady_clock::now() + std::chrono::seconds(5));
+      }
+      pid_t& pid;
+    } stopper(spawned.pid);
     if (!server_binary.empty()) {
       spawned = tools::spawn_server(server_binary, /*metrics_json=*/"", "pmacx_chaos");
       port = spawned.port;
@@ -729,6 +743,7 @@ int main(int argc, char** argv) {
       }
       int status = 0;
       ::waitpid(spawned.pid, &status, 0);
+      spawned.pid = -1;  // reaped: nothing left for the stopper
       abnormal_exit = liveness_failures == 0 &&
                       (!WIFEXITED(status) || WEXITSTATUS(status) != 0);
       if (abnormal_exit)

@@ -108,6 +108,22 @@ inline SpawnedServer spawn_server(const std::string& binary, const std::string& 
   return spawn_child(spec);
 }
 
+/// Waits for `pid` to exit until `deadline`, then SIGKILLs it; either way
+/// the child is reaped.  A pid already reaped elsewhere returns at once.
+inline void reap_by(pid_t pid, std::chrono::steady_clock::time_point deadline) {
+  for (;;) {
+    int status = 0;
+    const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
+    if (reaped == pid || reaped < 0) return;
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, &status, 0);
+      return;
+    }
+    ::usleep(10'000);
+  }
+}
+
 /// Supervises a fleet of banner-printing children: add() spawns one and pins
 /// the port it picked (rewriting the value after "--port" in its spec, so an
 /// ephemeral first bind becomes a stable address); poll() reaps children
@@ -224,18 +240,7 @@ class Supervisor {
     const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
     for (Child& child : children_) {
       if (!child.alive) continue;
-      for (;;) {
-        int status = 0;
-        const pid_t reaped = ::waitpid(child.pid, &status, WNOHANG);
-        if (reaped == child.pid) break;
-        if (reaped < 0) break;  // already reaped elsewhere
-        if (Clock::now() >= deadline) {
-          ::kill(child.pid, SIGKILL);
-          ::waitpid(child.pid, &status, 0);
-          break;
-        }
-        ::usleep(10'000);
-      }
+      reap_by(child.pid, deadline);
       child.alive = false;
       child.done = true;
     }
