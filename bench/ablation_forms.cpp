@@ -82,9 +82,7 @@ int main() {
       psins::measure_run(app, experiment.target_core_count, machine, roptions);
 
   // Shared comm traces for the synthetic signatures.
-  std::vector<trace::CommTrace> target_comm;
-  for (std::uint32_t rank = 0; rank < experiment.target_core_count; ++rank)
-    target_comm.push_back(app.comm_trace(experiment.target_core_count, rank));
+  const auto target_comm = synth::comm_traces(app, experiment.target_core_count);
 
   util::Table table({"Form Set", "Worst Infl. Fit Err", "Predicted (s)",
                      "vs Collected Pred", "vs Measured"});
@@ -92,17 +90,8 @@ int main() {
     const auto result =
         core::extrapolate_task(series, experiment.target_core_count, variant.options);
 
-    trace::AppSignature signature;
-    signature.app = app.name();
-    signature.core_count = experiment.target_core_count;
-    signature.target_system = tracer.target.name;
-    signature.demanding_rank = app.demanding_rank(experiment.target_core_count);
-    trace::TaskTrace task = result.trace;
-    task.rank = signature.demanding_rank;
-    signature.tasks.push_back(std::move(task));
-    signature.comm = target_comm;
-
-    const auto prediction = psins::predict(signature, machine);
+    const auto prediction = psins::predict(
+        trace::AppSignature::for_task(result.trace, target_comm), machine);
     table.add_row(
         {variant.name, util::human_percent(result.report.worst_influential_error(), 1),
          util::format("%.1f", prediction.runtime_seconds),

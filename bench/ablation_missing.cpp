@@ -41,9 +41,7 @@ int main() {
       synth::collect_signature(app, experiment.target_core_count, tracer);
   const auto prediction_collected = psins::predict(collected, machine);
 
-  std::vector<trace::CommTrace> target_comm;
-  for (std::uint32_t rank = 0; rank < experiment.target_core_count; ++rank)
-    target_comm.push_back(app.comm_trace(experiment.target_core_count, rank));
+  const auto target_comm = synth::comm_traces(app, experiment.target_core_count);
 
   util::Table table({"Policy", "Blocks in Output", "Predicted (s)", "vs Collected Pred"});
   for (const auto& [name, policy] :
@@ -56,16 +54,8 @@ int main() {
     const auto result =
         core::extrapolate_task(series, experiment.target_core_count, options);
 
-    trace::AppSignature signature;
-    signature.app = app.name();
-    signature.core_count = experiment.target_core_count;
-    signature.target_system = tracer.target.name;
-    signature.demanding_rank = app.demanding_rank(experiment.target_core_count);
-    trace::TaskTrace task = result.trace;
-    task.rank = signature.demanding_rank;
-    signature.tasks.push_back(std::move(task));
-    signature.comm = target_comm;
-    const auto prediction = psins::predict(signature, machine);
+    const auto prediction = psins::predict(
+        trace::AppSignature::for_task(result.trace, target_comm), machine);
 
     table.add_row(
         {name, std::to_string(result.trace.blocks.size()),

@@ -32,9 +32,7 @@ int main() {
   const auto collected = synth::collect_signature(app, target, tracer);
   const auto prediction_collected = psins::predict(collected, machine);
 
-  std::vector<trace::CommTrace> target_comm;
-  for (std::uint32_t rank = 0; rank < target; ++rank)
-    target_comm.push_back(app.comm_trace(target, rank));
+  const auto target_comm = synth::comm_traces(app, target);
 
   util::Table table({"Training Counts", "Worst Infl. Fit Err", "Predicted (s)",
                      "vs Collected Pred"});
@@ -42,16 +40,8 @@ int main() {
     const std::vector<trace::TaskTrace> series(traces.end() - use, traces.end());
     const auto result = core::extrapolate_task(series, target);
 
-    trace::AppSignature signature;
-    signature.app = app.name();
-    signature.core_count = target;
-    signature.target_system = tracer.target.name;
-    signature.demanding_rank = app.demanding_rank(target);
-    trace::TaskTrace task = result.trace;
-    task.rank = signature.demanding_rank;
-    signature.tasks.push_back(std::move(task));
-    signature.comm = target_comm;
-    const auto prediction = psins::predict(signature, machine);
+    const auto prediction = psins::predict(
+        trace::AppSignature::for_task(result.trace, target_comm), machine);
 
     std::string label;
     for (std::size_t i = counts.size() - use; i < counts.size(); ++i)

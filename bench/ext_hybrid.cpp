@@ -48,16 +48,8 @@ int main() {
     series.push_back(synth::trace_task(app, ranks, 0, tracer));
   const auto extrapolated = core::extrapolate_task(series, target_ranks);
 
-  trace::AppSignature synthetic;
-  synthetic.app = app.name();
-  synthetic.core_count = target_ranks;
-  synthetic.target_system = tracer.target.name;
-  synthetic.demanding_rank = app.demanding_rank(target_ranks);
-  trace::TaskTrace task = extrapolated.trace;
-  task.rank = synthetic.demanding_rank;
-  synthetic.tasks.push_back(std::move(task));
-  for (std::uint32_t rank = 0; rank < target_ranks; ++rank)
-    synthetic.comm.push_back(app.comm_trace(target_ranks, rank));
+  const auto synthetic =
+      trace::AppSignature::for_task(extrapolated.trace, synth::comm_traces(app, target_ranks));
 
   const auto prediction_extrap =
       psins::predict_hybrid(synthetic, machine, kThreads, kEfficiency);

@@ -25,9 +25,7 @@ synth::Specfem3dApp small_app() {
 void BM_ReplayRanks(benchmark::State& state) {
   const auto cores = static_cast<std::uint32_t>(state.range(0));
   const synth::Specfem3dApp app = small_app();
-  std::vector<trace::CommTrace> traces;
-  traces.reserve(cores);
-  for (std::uint32_t r = 0; r < cores; ++r) traces.push_back(app.comm_trace(cores, r));
+  const std::vector<trace::CommTrace> traces = synth::comm_traces(app, cores);
   const std::vector<double> scales(cores, 1e-9);
   const auto timelines = simmpi::timelines_from_comm(traces, scales);
   simmpi::NetworkModel net;
@@ -51,8 +49,7 @@ void BM_CommExtrapolate(benchmark::State& state) {
     signature.app = app.name();
     signature.core_count = cores;
     signature.target_system = "t";
-    for (std::uint32_t r = 0; r < cores; ++r)
-      signature.comm.push_back(app.comm_trace(cores, r));
+    signature.comm = synth::comm_traces(app, cores);
     inputs.push_back(std::move(signature));
   }
   for (auto _ : state) {

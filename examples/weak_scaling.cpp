@@ -65,18 +65,9 @@ int main(int argc, char** argv) {
 
   // Predict at the target and compare against a collected trace there.
   const synth::Specfem3dApp app_at_target = weak_app(target_cores);
-  trace::AppSignature synthetic;
-  synthetic.app = app_at_target.name();
-  synthetic.core_count = target_cores;
-  synthetic.target_system = options.target.name;
-  synthetic.demanding_rank = app_at_target.demanding_rank(target_cores);
-  trace::TaskTrace task = result.trace;
-  task.rank = synthetic.demanding_rank;
-  synthetic.tasks.push_back(std::move(task));
-  for (std::uint32_t rank = 0; rank < target_cores; ++rank)
-    synthetic.comm.push_back(app_at_target.comm_trace(target_cores, rank));
-
-  const auto prediction_extrap = psins::predict(synthetic, target);
+  const auto prediction_extrap = psins::predict(
+      trace::AppSignature::for_task(result.trace, synth::comm_traces(app_at_target, target_cores)),
+      target);
   const auto collected = synth::collect_signature(app_at_target, target_cores, options);
   const auto prediction_collected = psins::predict(collected, target);
 

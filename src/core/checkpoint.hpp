@@ -51,7 +51,8 @@ std::string models_digest_for_files(const std::vector<std::string>& trace_paths,
                                     const ExtrapolationOptions& options);
 
 /// models_digest over in-memory traces (CRC of their canonical binary
-/// encoding) — for callers like the pipeline whose inputs never hit disk.
+/// encoding) — for callers whose inputs are what they loaded, not the
+/// bytes on disk (pmacx_extrapolate's salvaged or signature inputs).
 std::string models_digest_for_traces(std::span<const trace::TaskTrace> inputs,
                                      const ExtrapolationOptions& options);
 

@@ -208,39 +208,38 @@ struct InfluenceIndex {
   }
 };
 
-/// The start every model-set fitting entry point shares: aligns `inputs`
-/// on the core-count axis into `set`, snapshots the policy (pool pointer
+/// The core-count alignment every "cores" model set starts from.
+Alignment align_cores(std::span<const trace::TaskTrace> inputs,
+                      const ExtrapolationOptions& options) {
+  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
+  return align_traces(inputs, options.missing);
+}
+
+/// The start every model-set fitting entry point shares: takes `alignment`
+/// of `inputs` along `axis_name`, snapshots the policy (pool pointer
 /// cleared: a cached set must not outlive a borrowed pool) and the workload
 /// identity, and returns the influence flags of the reference trace.
 InfluenceIndex start_model_set(TaskModelSet& set, std::span<const trace::TaskTrace> inputs,
+                               Alignment alignment, const char* axis_name,
                                const ExtrapolationOptions& options) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
-  set.alignment = align_traces(inputs, options.missing);
+  set.alignment = std::move(alignment);
   set.options = options;
   set.options.pool = nullptr;
   set.app = inputs.back().app;
   set.rank = inputs.back().rank;
   set.target_system = inputs.back().target_system;
-  set.axis_name = "cores";
+  set.axis_name = axis_name;
   return InfluenceIndex(inputs.back(), options.influence_threshold);
 }
 
-}  // namespace
-
-namespace {
-
-/// Everything one element's (pure, thread-safe) fit stage produces; the
-/// apply stage consumes these strictly in element order so diagnostics and
-/// the report are bit-identical however the fits were scheduled.
+/// Everything one element's (pure, thread-safe) evaluate stage produces;
+/// the apply stage consumes these strictly in element order so diagnostics
+/// and the report are bit-identical however the evaluations were scheduled.
 struct ElementOutcome {
   ElementFit fit;
   bool fallback = false;
 };
 
-/// The target-independent half of one element's extrapolation: choose the
-/// fit axis (FitPresent restriction), fit every canonical candidate, and
-/// score them for selection.  Pure and thread-safe, so it fans out across
-/// the pool.
 /// The fit-series choice shared by the scalar fit path and the incremental
 /// refitter's reuse check: FitPresent restricts the series to the counts
 /// where the element was actually observed (≥ 2 needed; otherwise fall
@@ -267,6 +266,9 @@ void choose_fit_series(const Alignment& alignment, const AlignedElement& element
   }
 }
 
+/// The target-independent half of one element's extrapolation: choose the
+/// fit series, fit every canonical candidate, and score them for selection.
+/// Pure and thread-safe, so it fans out across the pool.
 ElementModels compute_element_models(const Alignment& alignment,
                                      const AlignedElement& element,
                                      const InfluenceIndex& influence,
@@ -442,8 +444,8 @@ std::vector<ElementModels> compute_models_chunk(const Alignment& alignment,
   return out;
 }
 
-/// The fit stage shared by every fitting entry point (direct extrapolation,
-/// model-set fitting, checkpointed fitting): batches of kFitBatch elements
+/// The fit stage shared by every fitting entry point (model-set,
+/// checkpointed and incremental fitting): batches of kFitBatch elements
 /// fan out across the pool, each batch running the SoA fitter.
 std::vector<ElementModels> compute_models_stage(const Alignment& alignment,
                                                 const InfluenceIndex& influence,
@@ -468,29 +470,26 @@ std::vector<ElementModels> compute_models_stage(const Alignment& alignment,
   return out;
 }
 
-/// Stage 2 of every extrapolation path — apply outcomes in element order:
-/// skeleton synthesis, trace writes, degradation tallies, report rows.
-/// Serial by construction, so the merge (and every counter tallied here) is
-/// deterministic regardless of how the fits were scheduled — and shared
-/// between the direct and the cached (model-set) paths, so both emit the
-/// same bytes.
-ExtrapolationResult apply_outcomes(const Alignment& alignment,
-                                   std::vector<ElementOutcome>&& outcomes,
-                                   double target, std::uint32_t out_core_count,
-                                   const std::string& axis_name, const std::string& app,
-                                   std::uint32_t rank, const std::string& target_system,
+/// Applies outcomes in element order: skeleton synthesis, trace writes,
+/// degradation tallies, report rows.  Serial by construction, so the merge
+/// (and every counter tallied here) is deterministic regardless of how the
+/// evaluate stage was scheduled.
+ExtrapolationResult apply_outcomes(const TaskModelSet& set,
+                                   std::vector<ElementOutcome>&& outcomes, double target,
+                                   std::uint32_t out_core_count,
                                    const ExtrapolationOptions& options) {
+  const Alignment& alignment = set.alignment;
   ExtrapolationResult result;
   result.report.axis = alignment.axis;
   result.report.target = target;
-  result.report.axis_name = axis_name;
+  result.report.axis_name = set.axis_name;
 
   // Output skeleton.
   trace::TaskTrace& out = result.trace;
-  out.app = app;
-  out.rank = rank;
+  out.app = set.app;
+  out.rank = set.rank;
   out.core_count = out_core_count;
-  out.target_system = target_system;
+  out.target_system = set.target_system;
   out.extrapolated = true;
   out.blocks = alignment.skeleton;
   out.sort_blocks();
@@ -586,40 +585,41 @@ ExtrapolationResult apply_outcomes(const Alignment& alignment,
   return result;
 }
 
-/// Shared core of both extrapolation axes: fit every aligned element over
-/// `alignment.axis`, evaluate at `target`, and synthesize the output trace.
-/// Fitting fans out across the pool (when one is configured); the results
-/// are applied serially in element order, so parallel runs emit the same
-/// bytes, the same report, and the same diagnostics as serial ones.
-ExtrapolationResult extrapolate_alignment(std::span<const trace::TaskTrace> inputs,
-                                          const Alignment& alignment, double target,
-                                          std::uint32_t out_core_count,
-                                          const std::string& axis_name,
-                                          const ExtrapolationOptions& options) {
-  const InfluenceIndex influence(inputs.back(), options.influence_threshold);
+/// Fits every element of `alignment` (of `inputs`, along `axis_name`):
+/// the fit half of every extrapolation path.
+TaskModelSet fit_models(std::span<const trace::TaskTrace> inputs, Alignment alignment,
+                        const char* axis_name, const ExtrapolationOptions& options) {
+  TaskModelSet set;
+  const InfluenceIndex influence =
+      start_model_set(set, inputs, std::move(alignment), axis_name, options);
+  util::metrics::StageTimer fit_timer("extrapolate.fit");
+  set.models = compute_models_stage(set.alignment, influence, options, 0,
+                                    set.alignment.elements.size());
+  return set;
+}
 
-  // Stage 1 — fit every element (the hot loop; embarrassingly parallel).
-  // Candidates come from the batched SoA fitter; evaluation at the target
-  // (selection, clamping, bootstraps) then fans out per element.  Both
-  // halves are pure, so the split changes scheduling but not one bit of
-  // any outcome.
+/// The evaluate half of every extrapolation path: select, evaluate and clamp
+/// each element at `target` on the options' pool policy, then apply the
+/// outcomes in element order — so every path, thread count and pool emits
+/// the same bytes, report and diagnostics.  Everything in `set` is only
+/// read, so one cached set can be evaluated from many threads at once.
+ExtrapolationResult evaluate_models(const TaskModelSet& set, double target,
+                                    std::uint32_t out_core_count,
+                                    const ExtrapolationOptions& options) {
+  PMACX_CHECK(set.models.size() == set.alignment.elements.size(),
+              "model set inconsistent with its alignment");
   std::vector<ElementOutcome> outcomes;
   {
-    util::metrics::StageTimer fit_timer("extrapolate.fit");
-    const std::vector<ElementModels> models = compute_models_stage(
-        alignment, influence, options, 0, alignment.elements.size());
+    util::metrics::StageTimer select_timer("extrapolate.select");
     outcomes = run_stage<ElementOutcome>(
-        alignment.elements.size(),
+        set.models.size(),
         [&](std::size_t i) {
-          return evaluate_element(alignment, alignment.elements[i], models[i], target,
-                                  options);
+          return evaluate_element(set.alignment, set.alignment.elements[i], set.models[i],
+                                  target, options);
         },
         options);
   }
-
-  return apply_outcomes(alignment, std::move(outcomes), target, out_core_count,
-                        axis_name, inputs.back().app, inputs.back().rank,
-                        inputs.back().target_system, options);
+  return apply_outcomes(set, std::move(outcomes), target, out_core_count, options);
 }
 
 }  // namespace
@@ -627,11 +627,9 @@ ExtrapolationResult extrapolate_alignment(std::span<const trace::TaskTrace> inpu
 ExtrapolationResult extrapolate_task(std::span<const trace::TaskTrace> inputs,
                                      std::uint32_t target_cores,
                                      const ExtrapolationOptions& options) {
-  PMACX_CHECK(inputs.size() >= 2, "extrapolation requires at least two input traces");
   PMACX_CHECK(target_cores > 0, "target core count must be positive");
-  const Alignment alignment = align_traces(inputs, options.missing);
-  return extrapolate_alignment(inputs, alignment, static_cast<double>(target_cores),
-                               target_cores, "cores", options);
+  return evaluate_models(fit_task_models(inputs, options), target_cores, target_cores,
+                         options);
 }
 
 ExtrapolationResult extrapolate_parameter(std::span<const trace::TaskTrace> inputs,
@@ -643,9 +641,10 @@ ExtrapolationResult extrapolate_parameter(std::span<const trace::TaskTrace> inpu
   for (std::size_t i = 1; i < inputs.size(); ++i)
     PMACX_CHECK(inputs[i].core_count == inputs[0].core_count,
                 "parameter extrapolation requires a fixed core count");
-  const Alignment alignment = align_over(inputs, parameter_values, options.missing);
-  return extrapolate_alignment(inputs, alignment, target_value, inputs[0].core_count,
-                               "parameter", options);
+  const TaskModelSet set =
+      fit_models(inputs, align_over(inputs, parameter_values, options.missing), "parameter",
+                 options);
+  return evaluate_models(set, target_value, inputs[0].core_count, options);
 }
 
 std::size_t TaskModelSet::memory_bytes() const {
@@ -674,12 +673,7 @@ std::size_t TaskModelSet::memory_bytes() const {
 
 TaskModelSet fit_task_models(std::span<const trace::TaskTrace> inputs,
                              const ExtrapolationOptions& options) {
-  TaskModelSet set;
-  const InfluenceIndex influence = start_model_set(set, inputs, options);
-  util::metrics::StageTimer fit_timer("extrapolate.fit");
-  set.models = compute_models_stage(set.alignment, influence, options, 0,
-                                    set.alignment.elements.size());
-  return set;
+  return fit_models(inputs, align_cores(inputs, options), "cores", options);
 }
 
 TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inputs,
@@ -687,7 +681,8 @@ TaskModelSet fit_task_models_checkpointed(std::span<const trace::TaskTrace> inpu
                                           const CheckpointConfig& config,
                                           CheckpointStats* stats_out) {
   TaskModelSet set;
-  const InfluenceIndex influence = start_model_set(set, inputs, options);
+  const InfluenceIndex influence =
+      start_model_set(set, inputs, align_cores(inputs, options), "cores", options);
   const std::size_t count = set.alignment.elements.size();
 
   ModelCheckpoint checkpoint(config);
@@ -747,30 +742,11 @@ ExtrapolationResult extrapolate_from_models(const TaskModelSet& models,
                                             std::uint32_t target_cores,
                                             double interval_coverage) {
   PMACX_CHECK(target_cores > 0, "target core count must be positive");
-  PMACX_CHECK(models.models.size() == models.alignment.elements.size(),
-              "model set inconsistent with its alignment");
-  const double target = static_cast<double>(target_cores);
-
   // Interval mode is a per-query choice layered over the cached fits — the
   // same model set answers PREDICT and PREDICT_INTERVAL without refitting.
   ExtrapolationOptions options = models.options;
   options.interval_coverage = interval_coverage;
-
-  // Selection + evaluation over precomputed candidates: no fitting, so this
-  // runs serially — and a shared cached set can be evaluated from many
-  // server threads concurrently (everything in `models` is read-only here).
-  std::vector<ElementOutcome> outcomes;
-  {
-    util::metrics::StageTimer select_timer("extrapolate.select");
-    outcomes.reserve(models.models.size());
-    for (std::size_t i = 0; i < models.models.size(); ++i)
-      outcomes.push_back(evaluate_element(models.alignment, models.alignment.elements[i],
-                                          models.models[i], target, options));
-  }
-
-  return apply_outcomes(models.alignment, std::move(outcomes), target, target_cores,
-                        models.axis_name, models.app, models.rank, models.target_system,
-                        options);
+  return evaluate_models(models, target_cores, target_cores, options);
 }
 
 namespace {
@@ -825,7 +801,8 @@ TaskModelSet fit_task_models_incremental(std::span<const trace::TaskTrace> input
   }
 
   TaskModelSet set;
-  const InfluenceIndex influence = start_model_set(set, inputs, options);
+  const InfluenceIndex influence =
+      start_model_set(set, inputs, align_cores(inputs, options), "cores", options);
   const std::size_t count = set.alignment.elements.size();
   stats.elements_total = count;
   set.models.resize(count);

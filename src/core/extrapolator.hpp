@@ -59,13 +59,13 @@ struct ExtrapolationOptions {
   /// 1.0 loses to the saturating inverse-p.  When no candidate is in-domain
   /// the overall best fit is used and its value clamped.
   bool reject_out_of_domain = true;
-  /// Execution parallelism for per-element fitting and synthesis.
+  /// Execution parallelism for the per-element fit and evaluate stages.
   /// 0 = run on a lazily created process-wide pool, sized once at first use
   /// from PMACX_THREADS (else the hardware thread count) — repeated calls
   /// never pay thread spawn/join; 1 = serial; N > 1 = a private pool of N
-  /// workers for this call.  The parallel path produces byte-identical
-  /// traces, reports, and diagnostics to the serial path: fits run
-  /// concurrently but results are applied in element order.
+  /// workers per stage.  The parallel path produces byte-identical traces,
+  /// reports, and diagnostics to the serial path: elements are fitted and
+  /// evaluated concurrently but results are applied in element order.
   std::size_t threads = 0;
   /// Externally owned pool to run on (overrides `threads`); not owned.
   /// Lets the pipeline, tools, and benches amortize one pool across many
@@ -90,8 +90,9 @@ struct ExtrapolationResult {
 };
 
 /// Extrapolates the series of traces (strictly increasing core counts, ≥ 2,
-/// same app/rank/target) to `target_cores`.  The output trace is marked
-/// extrapolated=true.
+/// same app/rank/target) to `target_cores`: fit_task_models followed by the
+/// evaluate stage extrapolate_from_models runs, both on the options' pool.
+/// The output trace is marked extrapolated=true.
 ExtrapolationResult extrapolate_task(std::span<const trace::TaskTrace> inputs,
                                      std::uint32_t target_cores,
                                      const ExtrapolationOptions& options = {});
@@ -123,6 +124,7 @@ struct TaskModelSet {
   std::string app;
   std::uint32_t rank = 0;
   std::string target_system;
+  /// "cores", or "parameter" for extrapolate_parameter's problem-size axis.
   std::string axis_name = "cores";
 
   /// Approximate resident size, for byte-bounded cache accounting.
@@ -131,20 +133,21 @@ struct TaskModelSet {
 
 /// Fits canonical models for every aligned element of the input series —
 /// the expensive half of extrapolate_task — without committing to a target.
-/// The per-element fit stage fans out across the pool exactly like
-/// extrapolate_task's (timed under extrapolate.fit).
+/// The per-element fit stage fans out across the options' pool (timed under
+/// extrapolate.fit).
 TaskModelSet fit_task_models(std::span<const trace::TaskTrace> inputs,
                              const ExtrapolationOptions& options = {});
 
 /// Evaluates a fitted model set at `target_cores`: per-element model
 /// selection (domain-aware when the set was fitted with
-/// reject_out_of_domain), evaluation, clamping, and trace synthesis.  For
-/// the same inputs and options the result is byte-identical to
-/// extrapolate_task(inputs, target_cores, options) — trace, report, and
-/// diagnostics all match — so cached answers are indistinguishable from
-/// freshly computed ones (tested in tests/core_extrap_test.cpp).  The
-/// selection stage runs serially (timed under extrapolate.select): without
-/// refitting it is far off any hot path.
+/// reject_out_of_domain), evaluation, clamping, and trace synthesis.  This
+/// is the evaluate stage of every extrapolation, so for the same inputs and
+/// options the result is byte-identical to extrapolate_task(inputs,
+/// target_cores, options) — trace, report, and diagnostics all match — and
+/// cached answers are indistinguishable from freshly computed ones (tested
+/// in tests/core_extrap_test.cpp).  Evaluation fans out on the pool policy
+/// of the set's options (timed under extrapolate.select); the set is only
+/// read, so many threads may evaluate one cached set at once.
 ExtrapolationResult extrapolate_from_models(const TaskModelSet& models,
                                             std::uint32_t target_cores);
 
@@ -159,8 +162,8 @@ ExtrapolationResult extrapolate_from_models(const TaskModelSet& models,
                                             std::uint32_t target_cores,
                                             double interval_coverage);
 
-/// Input-parameter extrapolation (Section VI future work): the same
-/// machinery along a problem-size axis at a *fixed* core count.  `inputs`
+/// Input-parameter extrapolation (Section VI future work): the same fit and
+/// evaluate stages along a problem-size axis at a *fixed* core count.  `inputs`
 /// were traced with strictly increasing `parameter_values` (e.g. mesh
 /// elements, particle counts); the result predicts the feature vectors at
 /// `target_value`.  All inputs must share one core count.

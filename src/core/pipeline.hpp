@@ -44,21 +44,11 @@ struct PipelineConfig {
   /// Synthesize target-count comm traces from the small collections
   /// (ScalaExtrap-style) instead of taking them from the application model.
   bool extrapolate_comm = false;
-  /// When non-empty, checkpoint the expensive stages here so a killed run
-  /// resumes instead of restarting: each small-count collection persists its
-  /// signature plus a stamp (pipeline version, app, core count, tracer
-  /// knobs) and is skipped when a matching stamp exists, and element fitting
-  /// runs through fit_task_models_checkpointed (pmacx-ckpt-v3 chunks under
-  /// <dir>/models, keyed by the collected traces' content digest).  Stale
-  /// state — different app, counts, tracer or fit options — is detected by
-  /// stamp/digest mismatch and redone; results are byte-identical to an
-  /// uncheckpointed run.
-  std::string checkpoint_dir;
   psins::ReferenceOptions reference;
   /// Execution parallelism for the whole run: signature collection at the
   /// small counts proceeds concurrently (overlapping the per-count cache
-  /// simulation), element fitting fans out inside the extrapolator, and
-  /// target-count comm timelines instantiate in parallel.  0 = resolve from
+  /// simulation), element fitting and evaluation fan out inside the
+  /// extrapolator, and target-count comm timelines instantiate in parallel.  0 = resolve from
   /// PMACX_THREADS (else hardware threads); 1 = serial.  Results are
   /// identical to the serial path — all merges happen in deterministic
   /// (count/rank/element) order.  Ignored when `extrapolation.pool` is set,

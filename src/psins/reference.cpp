@@ -77,14 +77,12 @@ MeasuredRun measure_run(const synth::SyntheticApp& app, std::uint32_t cores,
   const double seconds_per_unit = demanding_seconds / demanding_units;
 
   // Per-rank noise: run-to-run variation of the "measurement".
-  std::vector<trace::CommTrace> comm;
-  comm.reserve(cores);
+  const std::vector<trace::CommTrace> comm = synth::comm_traces(app, cores);
   std::vector<double> scales(cores);
   util::Rng rng(options.seed);
-  for (std::uint32_t rank = 0; rank < cores; ++rank) {
-    comm.push_back(app.comm_trace(cores, rank));
+  for (double& scale : scales) {
     const double noise = 1.0 + options.noise * rng.normal();
-    scales[rank] = seconds_per_unit * std::max(noise, 0.5);
+    scale = seconds_per_unit * std::max(noise, 0.5);
   }
 
   const std::vector<simmpi::RankTimeline> timelines = simmpi::timelines_from_comm(comm, scales);

@@ -115,12 +115,6 @@ void ModelStore::insert_models(const std::string& digest,
   models_.insert("models:" + digest, std::move(models));
 }
 
-core::ExtrapolationResult ModelStore::extrapolate(const ModelsResult& models,
-                                                  std::uint32_t target_cores) const {
-  PMACX_CHECK(models.models != nullptr, "extrapolate on an empty models result");
-  return core::extrapolate_from_models(*models.models, target_cores);
-}
-
 std::shared_ptr<const machine::MachineProfile> ModelStore::profile_for(
     const std::string& target_name) {
   return profiles_.get_or_load("profile:" + target_name, [&target_name]() {
@@ -133,8 +127,8 @@ std::shared_ptr<const trace::AppSignature> ModelStore::signature_for(
     const ModelsResult& models, std::uint32_t target_cores, const std::string& app,
     double work_scale) {
   PMACX_CHECK(models.models != nullptr, "signature_for on an empty models result");
-  std::string key = "sig:" + models.digest + ":" + std::to_string(target_cores) + ":" + app +
-                    ":" + std::to_string(work_scale);
+  const std::string key = "sig:" + models.digest + ":" + std::to_string(target_cores) + ":" +
+                          app + ":" + util::format("%.17g", work_scale);
   return signatures_.get_or_load(key, [&]() {
     core::ExtrapolationResult extrapolated =
         core::extrapolate_from_models(*models.models, target_cores);
@@ -142,16 +136,8 @@ std::shared_ptr<const trace::AppSignature> ModelStore::signature_for(
     PMACX_CHECK(extrapolated.trace.app == model->name(),
                 "traces were collected from '" + extrapolated.trace.app +
                     "' but the request names app '" + model->name() + "'");
-    auto signature = std::make_shared<trace::AppSignature>();
-    signature->app = extrapolated.trace.app;
-    signature->core_count = target_cores;
-    signature->target_system = extrapolated.trace.target_system;
-    signature->demanding_rank = extrapolated.trace.rank;
-    signature->tasks.push_back(std::move(extrapolated.trace));
-    for (std::uint32_t rank = 0; rank < target_cores; ++rank)
-      signature->comm.push_back(model->comm_trace(target_cores, rank));
-    signature->validate();
-    return std::shared_ptr<const trace::AppSignature>(std::move(signature));
+    return std::make_shared<const trace::AppSignature>(trace::AppSignature::for_task(
+        std::move(extrapolated.trace), synth::comm_traces(*model, target_cores)));
   });
 }
 

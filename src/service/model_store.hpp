@@ -138,18 +138,15 @@ class ModelStore {
   ModelsResult models_for(const std::vector<std::string>& trace_paths,
                           const core::ExtrapolationOptions& options);
 
-  /// Extrapolates the model set to `target_cores` (never cached: the apply
-  /// stage is cheap and its output large; callers keep the result).
-  core::ExtrapolationResult extrapolate(const ModelsResult& models,
-                                        std::uint32_t target_cores) const;
-
   /// The MultiMAPS-probed machine profile for a predefined target name —
   /// cached, since probing simulates the full bandwidth surface.
   std::shared_ptr<const machine::MachineProfile> profile_for(const std::string& target_name);
 
   /// A full extrapolated signature (demanding-rank trace at target_cores +
   /// the app model's comm timelines) — cached by (digest, target, app,
-  /// work_scale), so repeated PREDICTs skip even the apply stage.
+  /// work_scale), so repeated PREDICTs skip even the evaluate stage.  The
+  /// scale is keyed at full precision (%.17g): scales that agree to six
+  /// decimals still build different apps.
   std::shared_ptr<const trace::AppSignature> signature_for(
       const ModelsResult& models, std::uint32_t target_cores, const std::string& app,
       double work_scale);

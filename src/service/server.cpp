@@ -187,7 +187,7 @@ Response Server::handle(const Request& request) {
       const ModelStore::ModelsResult models =
           store_.models_for(expand_paths(request.spec.trace_paths), request.spec.to_options());
       const core::ExtrapolationResult result =
-          store_.extrapolate(models, request.target_cores);
+          core::extrapolate_from_models(*models.models, request.target_cores);
       response.body = trace::to_binary(result.trace);
       break;
     }

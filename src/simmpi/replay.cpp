@@ -46,14 +46,6 @@ struct RankState {
 
 }  // namespace
 
-std::uint32_t ReplayResult::most_demanding_rank() const {
-  PMACX_CHECK(!ranks.empty(), "empty replay result");
-  std::uint32_t best = 0;
-  for (std::uint32_t r = 1; r < ranks.size(); ++r)
-    if (ranks[r].compute_seconds > ranks[best].compute_seconds) best = r;
-  return best;
-}
-
 ReplayResult replay(std::span<const RankTimeline> timelines, const NetworkModel& network) {
   const std::uint32_t n = static_cast<std::uint32_t>(timelines.size());
   PMACX_CHECK(n > 0, "replay requires at least one rank");

@@ -51,10 +51,6 @@ struct RankOutcome {
 struct ReplayResult {
   std::vector<RankOutcome> ranks;
   double runtime = 0.0;  ///< max finish time across ranks
-
-  /// Rank with the largest compute_seconds — the paper's "most
-  /// computationally demanding MPI task".
-  std::uint32_t most_demanding_rank() const;
 };
 
 /// Replays the timelines (index = rank).  Throws util::Error on deadlock or

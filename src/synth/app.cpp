@@ -4,6 +4,7 @@
 #include <numbers>
 
 #include "util/error.hpp"
+#include "util/threadpool.hpp"
 
 namespace pmacx::synth {
 
@@ -14,6 +15,19 @@ double SyntheticApp::work_units(std::uint32_t cores, std::uint32_t rank) const {
 }
 
 std::uint32_t SyntheticApp::demanding_rank(std::uint32_t /*cores*/) const { return 0; }
+
+std::vector<trace::CommTrace> comm_traces(const SyntheticApp& app, std::uint32_t cores,
+                                          util::ThreadPool* pool) {
+  auto rank_trace = [&](std::size_t rank) {
+    return app.comm_trace(cores, static_cast<std::uint32_t>(rank));
+  };
+  if (pool != nullptr && !pool->serial())
+    return pool->parallel_map<trace::CommTrace>(cores, rank_trace, /*grain=*/64);
+  std::vector<trace::CommTrace> comm;
+  comm.reserve(cores);
+  for (std::size_t rank = 0; rank < cores; ++rank) comm.push_back(rank_trace(rank));
+  return comm;
+}
 
 double imbalance_factor(std::uint32_t rank, std::uint32_t cores, double amplitude) {
   PMACX_CHECK(cores > 0, "imbalance_factor: zero cores");

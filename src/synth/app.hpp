@@ -16,6 +16,10 @@
 #include "synth/kernel.hpp"
 #include "trace/comm.hpp"
 
+namespace pmacx::util {
+class ThreadPool;
+}
+
 namespace pmacx::synth {
 
 /// Abstract synthetic MPI application.
@@ -44,6 +48,12 @@ class SyntheticApp {
   /// imbalance peak on rank 0 by construction.
   virtual std::uint32_t demanding_rank(std::uint32_t cores) const;
 };
+
+/// Every rank's communication timeline at `cores`, in rank order.  Ranks
+/// are independent, so a (non-serial) pool instantiates them in parallel;
+/// the result is identical either way.
+std::vector<trace::CommTrace> comm_traces(const SyntheticApp& app, std::uint32_t cores,
+                                          util::ThreadPool* pool = nullptr);
 
 /// Deterministic per-rank load-imbalance factor in [1, 1+amplitude], with the
 /// unique maximum at rank 0 (smooth cos² profile across ranks).

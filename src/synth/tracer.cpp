@@ -194,18 +194,7 @@ trace::AppSignature collect_signature(const SyntheticApp& app, std::uint32_t cor
       signature.tasks.push_back(trace_rank(i));
   }
 
-  if (parallel) {
-    signature.comm = pool->parallel_map<trace::CommTrace>(
-        cores, [&](std::size_t rank) {
-          return app.comm_trace(cores, static_cast<std::uint32_t>(rank));
-        },
-        /*grain=*/64);
-  } else {
-    signature.comm.reserve(cores);
-    for (std::uint32_t rank = 0; rank < cores; ++rank)
-      signature.comm.push_back(app.comm_trace(cores, rank));
-  }
-
+  signature.comm = comm_traces(app, cores, pool);
   signature.validate();
   return signature;
 }

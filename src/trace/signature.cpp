@@ -10,6 +10,21 @@
 
 namespace pmacx::trace {
 
+AppSignature AppSignature::for_task(TaskTrace task, std::vector<CommTrace> comm) {
+  PMACX_CHECK(comm.size() == task.core_count,
+              "signature needs one comm trace per rank (got " + std::to_string(comm.size()) +
+                  " of " + std::to_string(task.core_count) + ")");
+  AppSignature signature;
+  signature.app = task.app;
+  signature.core_count = task.core_count;
+  signature.target_system = task.target_system;
+  signature.demanding_rank = task.rank;
+  signature.tasks.push_back(std::move(task));
+  signature.comm = std::move(comm);
+  signature.validate();
+  return signature;
+}
+
 const TaskTrace* AppSignature::task_for_rank(std::uint32_t rank) const {
   for (const auto& task : tasks)
     if (task.rank == rank) return &task;

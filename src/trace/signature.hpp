@@ -3,9 +3,9 @@
 // "The set of trace files from all MPI ranks constitutes the application
 // signature on the target system at that particular core count" (Section
 // III-A).  AppSignature bundles the per-task computation traces with the
-// per-task communication traces of one run, and records which rank the
-// lightweight profiler identified as the most computationally demanding —
-// that is the task the paper's extrapolation focuses on (Section IV).
+// per-task communication traces of one run, and records which rank is the
+// most computationally demanding — that is the task the paper's
+// extrapolation focuses on (Section IV).
 #pragma once
 
 #include <cstdint>
@@ -29,8 +29,13 @@ struct AppSignature {
   /// One communication timeline per rank (always all ranks; comm traces are
   /// cheap compared to computation traces).
   std::vector<CommTrace> comm;
-  /// Rank the profiler identified as the most computationally demanding.
+  /// Rank of the most computationally demanding task.
   std::uint32_t demanding_rank = 0;
+
+  /// The signature of one traced task at its core count: app, core count,
+  /// target system and demanding rank all come from `task`, and `comm` must
+  /// hold every rank's timeline in rank order.  Validates before returning.
+  static AppSignature for_task(TaskTrace task, std::vector<CommTrace> comm);
 
   /// Trace of `rank`, or nullptr when that rank was not traced.
   const TaskTrace* task_for_rank(std::uint32_t rank) const;

@@ -328,6 +328,12 @@ void expect_identical_results(const core::ExtrapolationResult& serial,
   EXPECT_EQ(serial.diagnostics.fallback_fits, parallel.diagnostics.fallback_fits);
   EXPECT_EQ(serial.diagnostics.clamped_values, parallel.diagnostics.clamped_values);
   EXPECT_EQ(serial.diagnostics.warnings, parallel.diagnostics.warnings);
+  ASSERT_EQ(serial.has_interval, parallel.has_interval);
+  if (serial.has_interval) {
+    EXPECT_EQ(trace::to_binary(serial.trace_lo), trace::to_binary(parallel.trace_lo));
+    EXPECT_EQ(trace::to_binary(serial.trace_median), trace::to_binary(parallel.trace_median));
+    EXPECT_EQ(trace::to_binary(serial.trace_hi), trace::to_binary(parallel.trace_hi));
+  }
 }
 
 TEST(ExtrapolatorTest, ParallelMatchesSerialByteIdentical) {
@@ -406,7 +412,9 @@ TEST(ModelSetTest, SplitMatchesExtrapolateTaskByteIdenticalAcrossOptions) {
   // fit_task_models + extrapolate_from_models is the serving layer's cached
   // path; extrapolate_task is the direct path.  A cached answer must be
   // indistinguishable from a fresh one for every policy combination, so the
-  // sweep covers the option axes that steer fitting and selection.
+  // sweep covers the option axes that steer fitting and selection — on one
+  // thread, four threads and an external pool, each of which must also
+  // match the serial answer.
   std::vector<ExtrapolationOptions> sweep;
   sweep.emplace_back();  // defaults
   {
@@ -426,13 +434,28 @@ TEST(ModelSetTest, SplitMatchesExtrapolateTaskByteIdenticalAcrossOptions) {
     o.missing = core::MissingPolicy::FitPresent;
     sweep.push_back(o);
   }
+  {
+    ExtrapolationOptions o;
+    o.interval_coverage = 0.9;
+    o.bootstrap_resamples = 20;
+    sweep.push_back(o);
+  }
+  util::ThreadPool external(3);
   const auto series = law_series();
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    SCOPED_TRACE("options[" + std::to_string(i) + "]");
-    const core::TaskModelSet models = core::fit_task_models(series, sweep[i]);
-    for (std::uint32_t target : {8192u, 65536u}) {
-      expect_identical_results(extrapolate_task(series, target, sweep[i]),
-                               core::extrapolate_from_models(models, target));
+    ExtrapolationOptions serial = sweep[i];
+    serial.threads = 1;
+    for (const std::string run : {"1 thread", "4 threads", "external pool"}) {
+      SCOPED_TRACE("options[" + std::to_string(i) + "], " + run);
+      ExtrapolationOptions options = sweep[i];
+      options.threads = run == "4 threads" ? 4 : 1;
+      options.pool = run == "external pool" ? &external : nullptr;
+      const core::TaskModelSet models = core::fit_task_models(series, options);
+      for (std::uint32_t target : {8192u, 65536u}) {
+        const auto direct = extrapolate_task(series, target, options);
+        expect_identical_results(direct, core::extrapolate_from_models(models, target));
+        expect_identical_results(extrapolate_task(series, target, serial), direct);
+      }
     }
   }
 }
@@ -453,7 +476,14 @@ TEST(ModelSetTest, OneFitServesManyTargets) {
 TEST(ParamExtrapTest, RecoversSizeLaws) {
   const std::vector<TaskTrace> series = {size_trace(1e6), size_trace(2e6), size_trace(4e6)};
   const std::vector<double> ns = {1e6, 2e6, 4e6};
-  const auto result = core::extrapolate_parameter(series, ns, 8e6);
+  // One thread and four give the same bytes, interval traces included.
+  ExtrapolationOptions serial;
+  serial.threads = 1;
+  serial.interval_coverage = 0.9;
+  ExtrapolationOptions parallel = serial;
+  parallel.threads = 4;
+  const auto result = core::extrapolate_parameter(series, ns, 8e6, serial);
+  expect_identical_results(result, core::extrapolate_parameter(series, ns, 8e6, parallel));
   const auto* block = result.trace.find_block(1);
   ASSERT_NE(block, nullptr);
   EXPECT_NEAR(block->get(BlockElement::MemLoads), 25.0 * 8e6, 1.0);

@@ -229,13 +229,33 @@ TEST(ModelStoreTest, ExtrapolateMatchesDirectCallByteForByte) {
   const auto models = store.models_for(paths, options);
   ASSERT_NE(models.models, nullptr);
   EXPECT_GT(models.models->memory_bytes(), 0u);
-  const core::ExtrapolationResult cached = store.extrapolate(models, 256);
+  const core::ExtrapolationResult cached = core::extrapolate_from_models(*models.models, 256);
 
   std::vector<TaskTrace> inputs;
   for (const auto& path : paths) inputs.push_back(TaskTrace::load(path));
   const core::ExtrapolationResult direct = core::extrapolate_task(inputs, 256, options);
 
   EXPECT_EQ(trace::to_binary(cached.trace), trace::to_binary(direct.trace));
+}
+
+TEST(ModelStoreTest, SignatureCacheKeysWorkScaleAtFullPrecision) {
+  // 1/3 and 0.3333334 agree to six decimals.  make_app scales message sizes
+  // and compute units by the scale, so each must get its own signature.
+  service::ModelStore store;
+  const auto models = store.models_for(law_trace_files(), core::ExtrapolationOptions{});
+  const double scales[] = {1.0 / 3.0, 0.3333334};
+  std::vector<trace::AppSignature> direct;
+  for (const double scale : scales)
+    direct.push_back(trace::AppSignature::for_task(
+        core::extrapolate_from_models(*models.models, 128).trace,
+        synth::comm_traces(*synth::make_app("specfem3d", scale), 128)));
+  ASSERT_NE(direct[0].comm, direct[1].comm);
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    SCOPED_TRACE("work_scale " + std::to_string(i));
+    const auto cached = store.signature_for(models, 128, "specfem3d", scales[i]);
+    EXPECT_EQ(cached->tasks, direct[i].tasks);
+    EXPECT_EQ(cached->comm, direct[i].comm);
+  }
 }
 
 TEST(ModelStoreTest, RepeatedQueriesHitTheCache) {

@@ -1,11 +1,11 @@
 // Tests for the network model and the replay engine: rendezvous timing
-// math, collective synchronization, deadlock detection and the profiler.
+// math, collective synchronization, deadlock detection and comm-trace
+// timelines.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "simmpi/network.hpp"
-#include "simmpi/profiler.hpp"
 #include "simmpi/replay.hpp"
 #include "util/error.hpp"
 
@@ -159,7 +159,6 @@ TEST(ReplayTest, PureComputeRun) {
   for (std::size_t r = 0; r < 3; ++r) tl[r].tail_compute_seconds = 2.0 + r;
   const auto result = replay(tl, flat_network());
   EXPECT_DOUBLE_EQ(result.runtime, 4.0);
-  EXPECT_EQ(result.most_demanding_rank(), 2u);
 }
 
 TEST(ReplayTest, DeterministicAcrossCalls) {
@@ -303,9 +302,9 @@ TEST(EagerTest, DisabledByDefault) {
   EXPECT_FALSE(NetworkModel{}.is_eager(1));
 }
 
-// ------------------------------------------------------------- profiler ----
+// ---------------------------------------------------------- comm traces ----
 
-TEST(ProfilerTest, FindsMostDemandingRank) {
+TEST(ReplayTest, CommTraceTimelinesWaitAtTheBarrier) {
   std::vector<trace::CommTrace> traces(4);
   for (std::uint32_t r = 0; r < 4; ++r) {
     traces[r].rank = r;
@@ -313,13 +312,10 @@ TEST(ProfilerTest, FindsMostDemandingRank) {
     traces[r].events.push_back({CommOp::Barrier, -1, 0, r == 2 ? 500.0 : 100.0});
   }
   const std::vector<double> scales(4, 0.001);
-  const auto profile = simmpi::profile_run(traces, scales, flat_network());
-  EXPECT_EQ(profile.most_demanding_rank, 2u);
-  EXPECT_GT(profile.comm_fraction(), 0.0);
-  EXPECT_LT(profile.comm_fraction(), 1.0);
-  EXPECT_GT(profile.runtime, 0.5);
+  const auto result = replay(simmpi::timelines_from_comm(traces, scales), flat_network());
+  EXPECT_GT(result.runtime, 0.5);
   // Ranks that computed less waited longer at the barrier.
-  EXPECT_GT(profile.ranks[0].comm_seconds, profile.ranks[2].comm_seconds);
+  EXPECT_GT(result.ranks[0].comm_seconds, result.ranks[2].comm_seconds);
 }
 
 }  // namespace

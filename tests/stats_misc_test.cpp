@@ -1,10 +1,9 @@
-// Tests for descriptive statistics, k-means clustering and interpolation.
+// Tests for descriptive statistics and k-means clustering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "stats/descriptive.hpp"
-#include "stats/interp.hpp"
 #include "stats/kmeans.hpp"
 #include "util/error.hpp"
 
@@ -120,64 +119,6 @@ TEST(KMeansTest, ElbowOnUniformDataStaysSmall) {
   for (int i = 0; i < 16; ++i)
     points.push_back({static_cast<double>(i % 4), static_cast<double>(i / 4)});
   EXPECT_LE(stats::pick_k_elbow(points, 8), 4u);
-}
-
-// --------------------------------------------------------------- interp ----
-
-TEST(InterpTest, Interp1Midpoints) {
-  const std::vector<double> xs = {0, 10};
-  const std::vector<double> ys = {0, 100};
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, 5), 50);
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, 0), 0);
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, 10), 100);
-}
-
-TEST(InterpTest, Interp1ClampsOutside) {
-  const std::vector<double> xs = {1, 2};
-  const std::vector<double> ys = {10, 20};
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, -5), 10);
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, 99), 20);
-}
-
-TEST(InterpTest, Interp1SinglePoint) {
-  const std::vector<double> xs = {3};
-  const std::vector<double> ys = {7};
-  EXPECT_DOUBLE_EQ(stats::interp1(xs, ys, 100), 7);
-}
-
-TEST(InterpTest, Interp1RejectsUnsortedAndMismatch) {
-  const std::vector<double> bad = {2, 1};
-  const std::vector<double> ys = {1, 2};
-  EXPECT_THROW(stats::interp1(bad, ys, 1), util::Error);
-  EXPECT_THROW(stats::interp1(std::vector<double>{1}, ys, 1), util::Error);
-}
-
-TEST(InterpTest, Grid2BilinearCenter) {
-  // f(x,y) = x + 10y on a 2x2 grid; bilinear is exact for affine functions.
-  stats::Grid2 grid({0, 1}, {0, 1}, {0, 10, 1, 11});
-  EXPECT_DOUBLE_EQ(grid.at(0.5, 0.5), 5.5);
-  EXPECT_DOUBLE_EQ(grid.at(0, 0), 0);
-  EXPECT_DOUBLE_EQ(grid.at(1, 1), 11);
-}
-
-TEST(InterpTest, Grid2ClampsToBox) {
-  stats::Grid2 grid({0, 1}, {0, 1}, {0, 10, 1, 11});
-  EXPECT_DOUBLE_EQ(grid.at(-1, -1), 0);
-  EXPECT_DOUBLE_EQ(grid.at(2, 2), 11);
-}
-
-TEST(InterpTest, Grid2DegenerateRowsAndColumns) {
-  stats::Grid2 row({0}, {0, 1}, {5, 9});
-  EXPECT_DOUBLE_EQ(row.at(99, 0.5), 7);
-  stats::Grid2 col({0, 1}, {0}, {5, 9});
-  EXPECT_DOUBLE_EQ(col.at(0.5, 99), 7);
-  stats::Grid2 point({0}, {0}, {4});
-  EXPECT_DOUBLE_EQ(point.at(1, 1), 4);
-}
-
-TEST(InterpTest, Grid2RejectsBadShapes) {
-  EXPECT_THROW(stats::Grid2({0, 1}, {0, 1}, {1, 2, 3}), util::Error);
-  EXPECT_THROW(stats::Grid2({1, 0}, {0, 1}, {1, 2, 3, 4}), util::Error);
 }
 
 }  // namespace

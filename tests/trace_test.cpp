@@ -411,26 +411,37 @@ TEST(CommTest, RejectsMalformed) {
 
 // -------------------------------------------------------------- signature ----
 
+std::vector<CommTrace> sample_comm_set(std::uint32_t cores) {
+  std::vector<CommTrace> comm(cores);
+  for (std::uint32_t r = 0; r < cores; ++r) {
+    comm[r].rank = r;
+    comm[r].core_count = cores;
+  }
+  return comm;
+}
+
+/// sample_trace() (rank 3) at 4 cores, wrapped with every rank's comm trace.
 trace::AppSignature sample_signature() {
-  trace::AppSignature sig;
-  sig.app = "demo";
-  sig.core_count = 4;
-  sig.target_system = "test target";
-  sig.demanding_rank = 3;
   TaskTrace task = sample_trace();
   task.core_count = 4;
-  sig.tasks.push_back(task);
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    CommTrace comm;
-    comm.rank = r;
-    comm.core_count = 4;
-    sig.comm.push_back(comm);
-  }
-  return sig;
+  return trace::AppSignature::for_task(std::move(task), sample_comm_set(4));
 }
 
 TEST(SignatureTest, ValidSignaturePasses) {
-  EXPECT_NO_THROW(sample_signature().validate());
+  const trace::AppSignature sig = sample_signature();
+  EXPECT_NO_THROW(sig.validate());
+  // for_task takes every field from the task it wraps.
+  EXPECT_EQ(sig.app, "demo");
+  EXPECT_EQ(sig.core_count, 4u);
+  EXPECT_EQ(sig.target_system, "test target");
+  EXPECT_EQ(sig.demanding_rank, 3u);
+  ASSERT_EQ(sig.tasks.size(), 1u);
+  EXPECT_EQ(sig.comm.size(), 4u);
+  // A comm set that does not cover exactly the task's core count is rejected.
+  TaskTrace task = sample_trace();
+  task.core_count = 4;
+  EXPECT_THROW(trace::AppSignature::for_task(task, sample_comm_set(3)), util::Error);
+  EXPECT_THROW(trace::AppSignature::for_task(task, {}), util::Error);
 }
 
 TEST(SignatureTest, DemandingTaskLookup) {

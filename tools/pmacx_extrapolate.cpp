@@ -272,19 +272,20 @@ int main(int argc, char** argv) {
     options.threads = n_threads;
     options.pool = pool ? &*pool : nullptr;
 
-    const auto result = [&] {
-      if (checkpoint_dir.empty()) return core::extrapolate_task(traces, target_cores, options);
-      // Checkpointed path: persist fitted models chunk by chunk, reuse any
-      // valid chunks from a prior (possibly killed) run.  The digest is
-      // computed over the loaded traces' canonical binary encoding, so it is
-      // stable across runs and across --salvage / --signatures input modes.
+    // Fit, checkpointed or not, then evaluate once.  The checkpoint persists
+    // fitted models chunk by chunk and reuses any valid chunks from a prior
+    // (possibly killed) run.  Its digest is computed over the loaded traces'
+    // canonical binary encoding, so it is stable across runs and across
+    // --salvage / --signatures input modes.
+    const core::TaskModelSet models = [&] {
+      if (checkpoint_dir.empty()) return core::fit_task_models(traces, options);
       core::CheckpointConfig ckpt;
       ckpt.dir = checkpoint_dir;
       ckpt.digest = core::models_digest_for_traces(traces, options);
       ckpt.chunk_elements = checkpoint_chunk;
       ckpt.kill_after_chunks = crash_after_chunks;
       core::CheckpointStats stats;
-      const core::TaskModelSet models =
+      core::TaskModelSet fitted =
           core::fit_task_models_checkpointed(traces, options, ckpt, &stats);
       // Progress on stderr: stdout stays byte-identical to an uncheckpointed
       // run, which the resume golden test relies on.
@@ -293,22 +294,17 @@ int main(int argc, char** argv) {
                    "%zu, discarded %zu stale chunk(s)\n",
                    ckpt.digest.c_str(), stats.elements_reused, stats.elements_total,
                    stats.elements_fitted, stats.chunks_discarded);
-      return core::extrapolate_from_models(models, target_cores);
+      return fitted;
     }();
+    const core::ExtrapolationResult result = core::extrapolate_from_models(models, target_cores);
     diagnostics.merge(result.diagnostics);
     if (signatures) {
       // Full-signature mode: extrapolate the communication side too and
       // write a self-contained signature directory.
       if (out == "extrapolated.trace") out = "extrapolated.sig";
-      const auto comm = core::extrapolate_comm(input_signatures, target_cores);
-      trace::AppSignature synthesized;
-      synthesized.app = result.trace.app;
-      synthesized.core_count = target_cores;
-      synthesized.target_system = result.trace.target_system;
-      synthesized.demanding_rank = result.trace.rank;
-      synthesized.tasks.push_back(result.trace);
-      synthesized.comm = comm.comm;
-      synthesized.save(out);
+      trace::AppSignature::for_task(result.trace,
+                                    core::extrapolate_comm(input_signatures, target_cores).comm)
+          .save(out);
       std::printf("extrapolated %zu blocks + %u comm timelines to %u cores -> %s\n",
                   result.trace.blocks.size(), target_cores, target_cores, out.c_str());
     } else {

@@ -49,10 +49,9 @@ int main(int argc, char** argv) {
     PMACX_CHECK(cli.get_string("trace").empty() != cli.get_string("signature").empty(),
                 "give exactly one of --trace or --signature");
 
-    trace::AppSignature signature;
-    if (!cli.get_string("signature").empty()) {
-      signature = trace::AppSignature::load(cli.get_string("signature"));
-    } else {
+    const trace::AppSignature signature = [&] {
+      if (!cli.get_string("signature").empty())
+        return trace::AppSignature::load(cli.get_string("signature"));
       trace::TaskTrace task = trace::TaskTrace::load(cli.get_string("trace"));
       task.validate();
       const auto app =
@@ -60,14 +59,9 @@ int main(int argc, char** argv) {
       PMACX_CHECK(task.app == app->name(),
                   "trace was collected from '" + task.app + "' but --app is '" +
                       app->name() + "'");
-      signature.app = task.app;
-      signature.core_count = task.core_count;
-      signature.target_system = task.target_system;
-      signature.demanding_rank = task.rank;
-      signature.tasks.push_back(task);
-      for (std::uint32_t rank = 0; rank < task.core_count; ++rank)
-        signature.comm.push_back(app->comm_trace(task.core_count, rank));
-    }
+      const std::uint32_t cores = task.core_count;
+      return trace::AppSignature::for_task(std::move(task), synth::comm_traces(*app, cores));
+    }();
     const trace::TaskTrace& task = signature.demanding_task();
 
     const machine::TargetSystem target = machine::target_by_name(cli.get_string("target"));
