@@ -19,6 +19,11 @@
 //   multimaps.<target>           every MultiMAPS sample of the target's
 //                                probe (working set, stride, kind, hit
 //                                rates and bandwidth bits)
+//   replay.<app>.<target>.<net>  bit patterns of simmpi::replay's runtime
+//                                and every rank's finish, compute and comm
+//                                seconds at 8192 ranks, on the target's
+//                                network as it is ("native") and with every
+//                                point-to-point message eager ("eager")
 //
 // Artifacts are recorded as "<name> <bytes> <fnv1a-64>", counters as
 // "<name> <value>".  On a mismatch the test prints the line that would
@@ -26,6 +31,7 @@
 // a reviewed edit of the digest file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -39,10 +45,12 @@
 #include "machine/targets.hpp"
 #include "psins/predictor.hpp"
 #include "psins/reference.hpp"
+#include "simmpi/replay.hpp"
 #include "synth/registry.hpp"
 #include "synth/tracer.hpp"
 #include "trace/binary_io.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 
 #ifndef PMACX_GOLDEN_CORPUS
 #error "PMACX_GOLDEN_CORPUS must name the committed digest file"
@@ -54,6 +62,8 @@ namespace {
 constexpr std::uint64_t kMaxRefsPerKernel = 20'000;
 constexpr std::uint32_t kHybridThreads = 4;
 constexpr std::uint32_t kCorpusCores = 64;
+// Replay at serving scale: PREDICT replays 8192 ranks.
+constexpr std::uint32_t kReplayRanks = 8192;
 
 // The extrapolation flow: specfem3d on bluewaters-p1, pure MPI.
 constexpr const char* kFlowApp = "specfem3d";
@@ -163,6 +173,50 @@ struct Corpus {
   std::vector<std::string> measurements;
   std::vector<std::string> multimaps;
 };
+
+/// Replays every rank of `app` at kReplayRanks on both targets' networks.
+/// Per-rank scales carry psins::measure_run's noise around a rate that
+/// gives the demanding rank 100 s of compute.  At this scale every halo
+/// message is far above the targets' eager thresholds, so the "eager"
+/// lines raise the threshold to the largest message to reach that path.
+void add_replay_lines(const char* app_name, std::vector<std::string>& out) {
+  const auto app = synth::make_app(app_name);
+  const std::vector<trace::CommTrace> comm = synth::comm_traces(*app, kReplayRanks);
+  const double seconds_per_unit =
+      100.0 / comm[app->demanding_rank(kReplayRanks)].total_compute_units();
+  const psins::ReferenceOptions reference;
+  std::vector<double> scales(kReplayRanks);
+  util::Rng rng(reference.seed);
+  for (double& scale : scales) {
+    const double noise = 1.0 + reference.noise * rng.normal();
+    scale = seconds_per_unit * std::max(noise, 0.5);
+  }
+  const std::vector<simmpi::RankTimeline> timelines = simmpi::timelines_from_comm(comm, scales);
+
+  std::uint64_t largest_message = 0;
+  for (const trace::CommTrace& rank : comm)
+    for (const trace::CommEvent& event : rank.events)
+      if (!trace::comm_op_is_collective(event.op))
+        largest_message = std::max(largest_message, event.bytes);
+
+  for (const char* target : {"bluewaters-p1", "cray-xt5"}) {
+    for (const bool eager : {false, true}) {
+      simmpi::NetworkModel network = machine::target_by_name(target).network;
+      if (eager) network.eager_threshold_bytes = largest_message;
+      const simmpi::ReplayResult result = simmpi::replay(timelines, network);
+      std::string bits;
+      append_bits(bits, result.runtime);
+      for (const simmpi::RankOutcome& rank : result.ranks) {
+        append_bits(bits, rank.finish_time);
+        append_bits(bits, rank.compute_seconds);
+        append_bits(bits, rank.comm_seconds);
+      }
+      out.push_back(artifact_line(std::string("replay.") + app_name + "." + target + "." +
+                                      (eager ? "eager" : "native"),
+                                  bits));
+    }
+  }
+}
 
 Corpus compute_corpus() {
   Corpus corpus;
@@ -301,6 +355,13 @@ TEST(GoldenCorpusTest, FlowCounters) { expect_section("counter.", corpus().count
 TEST(GoldenCorpusTest, MeasuredRuns) { expect_section("measure.", corpus().measurements); }
 
 TEST(GoldenCorpusTest, MultiMapsSamples) { expect_section("multimaps.", corpus().multimaps); }
+
+// Computed in the test itself (not in corpus()) so its run time shows.
+TEST(GoldenCorpusTest, ReplayAtScale) {
+  std::vector<std::string> replays;
+  for (const char* app_name : {"specfem3d", "uh3d", "hpcg"}) add_replay_lines(app_name, replays);
+  expect_section("replay.", replays);
+}
 
 }  // namespace
 }  // namespace pmacx
