@@ -6,7 +6,9 @@
 // each rank until it blocks — a point-to-point event blocks until its
 // partner has arrived, a collective blocks until every rank has arrived at
 // the same occurrence — and resolves matches with the network model's
-// transfer times.  Semantics:
+// transfer times.  A blocked rank runs again when the match or the
+// collective's last arrival wakes it; results do not depend on the order
+// in which ranks run.  Semantics:
 //
 //   * Send/Recv are rendezvous: the k-th send from a to b matches the k-th
 //     recv on b from a; both sides complete at
@@ -53,8 +55,10 @@ struct ReplayResult {
   double runtime = 0.0;  ///< max finish time across ranks
 };
 
-/// Replays the timelines (index = rank).  Throws util::Error on deadlock or
-/// mismatched collective sequences.
+/// Replays the timelines (index = rank).  Throws util::Error on deadlock,
+/// mismatched collective sequences, a negative or NaN compute burst (the
+/// tail included), or a point-to-point peer that is out of range or the
+/// rank itself; peers are checked for every step before replay starts.
 ReplayResult replay(std::span<const RankTimeline> timelines, const NetworkModel& network);
 
 /// Builds replay-ready timelines from comm traces by scaling each rank's

@@ -1,11 +1,39 @@
 #include "trace/comm.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace pmacx::trace {
+namespace {
+
+// Smallest text encoding of one event ("e\tsend\t0\t0\t0\n"), used to clamp
+// reserve() against a corrupted declared count: the parse then fails at
+// end-of-input instead of attempting an unbounded allocation.
+constexpr std::size_t kMinTextEventBytes = 13;
+
+/// A peer rank: -1 (collectives) or an integer in [0, INT32_MAX].
+std::int32_t parse_peer(const std::string& text) {
+  if (util::trim(text) == "-1") return -1;
+  const std::uint64_t peer = util::parse_u64(text, "peer");
+  PMACX_CHECK(peer <= static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max()),
+              "peer " + text + " out of range");
+  return static_cast<std::int32_t>(peer);
+}
+
+/// Compute units: finite and non-negative.
+double parse_units(const std::string& text, const char* context) {
+  const double units = util::parse_double(text, context);
+  PMACX_CHECK(std::isfinite(units) && units >= 0,
+              std::string(context) + " '" + text + "' is negative or not finite");
+  return units;
+}
+
+}  // namespace
 
 std::string comm_op_name(CommOp op) {
   switch (op) {
@@ -88,17 +116,17 @@ CommTrace CommTrace::from_text(const std::string& text) {
   CommTrace trace;
   trace.rank = static_cast<std::uint32_t>(util::parse_u64(expect("rank")[1], "rank"));
   trace.core_count = static_cast<std::uint32_t>(util::parse_u64(expect("cores")[1], "cores"));
-  trace.tail_compute_units = util::parse_double(expect("tail")[1], "tail");
+  trace.tail_compute_units = parse_units(expect("tail")[1], "tail");
   const std::uint64_t count = util::parse_u64(expect("events")[1], "events");
-  trace.events.reserve(count);
+  trace.events.reserve(std::min<std::uint64_t>(count, text.size() / kMinTextEventBytes));
   for (std::uint64_t i = 0; i < count; ++i) {
     auto fields = next("event");
     PMACX_CHECK(fields.size() == 5 && fields[0] == "e", "malformed comm event");
     CommEvent event;
     event.op = comm_op_from_name(fields[1]);
-    event.peer = static_cast<std::int32_t>(util::parse_double(fields[2], "peer"));
+    event.peer = parse_peer(fields[2]);
     event.bytes = util::parse_u64(fields[3], "bytes");
-    event.compute_units_before = util::parse_double(fields[4], "compute units");
+    event.compute_units_before = parse_units(fields[4], "compute units");
     trace.events.push_back(event);
   }
   auto tail = next("end");

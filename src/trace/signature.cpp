@@ -1,5 +1,6 @@
 #include "trace/signature.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -156,7 +157,9 @@ AppSignature AppSignature::load(const std::string& directory) {
     const std::string all = buffer.str();
     // Comm traces are concatenated; split on the end-of-record marker.
     std::size_t offset = 0;
-    signature.comm.reserve(comm_count);
+    // Clamp against a corrupted count: the smallest comm trace text (header,
+    // rank, cores, tail, events, end marker) is 48 bytes.
+    signature.comm.reserve(std::min<std::size_t>(comm_count, all.size() / 48));
     for (std::size_t i = 0; i < comm_count; ++i) {
       const std::size_t end = all.find("end\n", offset);
       PMACX_CHECK(end != std::string::npos, "comm.txt truncated");

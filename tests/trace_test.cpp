@@ -409,6 +409,41 @@ TEST(CommTest, RejectsMalformed) {
   EXPECT_THROW(CommTrace::from_text("not a comm trace"), util::Error);
 }
 
+/// A one-event comm trace text with the given fields.
+std::string comm_text(const std::string& tail, const std::string& events,
+                      const std::string& peer, const std::string& units) {
+  return "pmacx-comm\t1\nrank\t0\ncores\t2\ntail\t" + tail + "\nevents\t" + events +
+         "\ne\tsend\t" + peer + "\t8\t" + units + "\nend\n";
+}
+
+TEST(CommTest, ParsesTheWellFormedBaseline) {
+  const CommTrace comm = CommTrace::from_text(comm_text("0.5", "1", "1", "2"));
+  ASSERT_EQ(comm.events.size(), 1u);
+  EXPECT_EQ(comm.events[0].peer, 1);
+  EXPECT_EQ(CommTrace::from_text(comm_text("0", "1", "-1", "0")).events[0].peer, -1);
+}
+
+TEST(CommTest, HugeEventCountIsAParseErrorNotAnAllocation) {
+  EXPECT_THROW(CommTrace::from_text(comm_text("0", "1000000000000000000", "1", "2")),
+               util::Error);
+}
+
+TEST(CommTest, PeerMustBeAnInt32Rank) {
+  for (const char* peer : {"1e20", "1.5", "2147483648", "-2", "-1.0", "nan"})
+    EXPECT_THROW(CommTrace::from_text(comm_text("0", "1", peer, "2")), util::Error) << peer;
+  EXPECT_EQ(CommTrace::from_text(comm_text("0", "1", "2147483647", "2")).events[0].peer,
+            2147483647);
+}
+
+TEST(CommTest, UnitsMustBeFiniteAndNonNegative) {
+  for (const char* bad : {"-5", "nan", "inf", "-inf"}) {
+    EXPECT_THROW(CommTrace::from_text(comm_text(bad, "1", "1", "2")), util::Error)
+        << "tail " << bad;
+    EXPECT_THROW(CommTrace::from_text(comm_text("0", "1", "1", bad)), util::Error)
+        << "compute units " << bad;
+  }
+}
+
 // -------------------------------------------------------------- signature ----
 
 std::vector<CommTrace> sample_comm_set(std::uint32_t cores) {
@@ -500,6 +535,17 @@ TEST(SignatureTest, DirectorySaveLoadRoundTrip) {
 
 TEST(SignatureTest, LoadMissingDirectoryThrows) {
   EXPECT_THROW(trace::AppSignature::load("/nonexistent/sigdir"), util::Error);
+}
+
+TEST(SignatureTest, LoadRejectsHugeCommCount) {
+  const std::string dir = ::testing::TempDir() + "/pmacx_sig_huge_comm";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/signature.meta") << "pmacx-signature\t1\napp\tdemo\ncores\t1\n"
+                                            "target\tt\ndemanding\t0\n"
+                                            "comm\t1000000000000000000\n";
+  std::ofstream(dir + "/comm.txt") << comm_text("0", "1", "1", "2");
+  EXPECT_THROW(trace::AppSignature::load(dir), util::Error);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(SignatureTest, LoadRejectsForeignMeta) {
