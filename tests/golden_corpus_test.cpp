@@ -7,6 +7,13 @@
 //                                (3 apps × 2 targets × pure-MPI/hybrid)
 //   extrap.*                     the extrapolated trace, its FitReport CSV,
 //                                and its 0.9-coverage lo/median/hi traces
+//   extrap.fitpresent.*          trace and CSV of a FitPresent extrapolation
+//                                whose middle input lacks one block, so
+//                                that block's elements fit restricted series
+//   ckpt.<policy>.*              manifest and chunk files that
+//                                fit_task_models_checkpointed writes for the
+//                                flow's inputs (zerofill) and for the
+//                                FitPresent inputs (fitpresent)
 //   predict.<input>.*            the rendered PREDICT body, plus the bit
 //                                patterns of every PredictionResult double
 //                                (the body rounds to 3 decimals)
@@ -34,12 +41,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/extrapolator.hpp"
 #include "machine/profile.hpp"
 #include "machine/targets.hpp"
@@ -49,6 +59,7 @@
 #include "synth/registry.hpp"
 #include "synth/tracer.hpp"
 #include "trace/binary_io.hpp"
+#include "util/atomic_file.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -71,6 +82,8 @@ constexpr const char* kFlowTarget = "bluewaters-p1";
 constexpr std::uint32_t kFlowInputs[] = {16, 32, 64};
 constexpr std::uint32_t kFlowTargetCores = 256;
 constexpr double kFlowCoverage = 0.9;
+// 294 elements in three checkpoint chunks.
+constexpr std::size_t kCheckpointChunk = 128;
 
 std::uint64_t fnv1a64(std::string_view bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -172,7 +185,32 @@ struct Corpus {
   std::vector<std::string> counters;
   std::vector<std::string> measurements;
   std::vector<std::string> multimaps;
+  std::vector<std::string> checkpoints;
 };
+
+/// The files fit_task_models_checkpointed writes for `inputs` under
+/// `policy`, named ckpt.<label>.manifest and ckpt.<label>.chunk<k>.
+void add_checkpoint_lines(const std::string& label, std::span<const trace::TaskTrace> inputs,
+                          core::MissingPolicy policy, std::vector<std::string>& out) {
+  core::ExtrapolationOptions options;
+  options.missing = policy;
+  core::CheckpointConfig config;
+  config.dir = testing::TempDir() + "pmacx_golden_ckpt_" + label;
+  config.digest = core::models_digest_for_traces(inputs, options);
+  config.chunk_elements = kCheckpointChunk;
+  std::filesystem::remove_all(config.dir);
+  core::fit_task_models_checkpointed(inputs, options, config);
+  out.push_back(artifact_line("ckpt." + label + ".manifest",
+                              util::read_file(config.dir + "/manifest.ckpt")));
+  for (std::size_t chunk = 0;; ++chunk) {
+    char name[32];
+    std::snprintf(name, sizeof name, "/models_%06zu.ckpt", chunk);
+    if (!std::filesystem::exists(config.dir + name)) break;
+    out.push_back(artifact_line("ckpt." + label + ".chunk" + std::to_string(chunk),
+                                util::read_file(config.dir + name)));
+  }
+  std::filesystem::remove_all(config.dir);
+}
 
 /// Replays every rank of `app` at kReplayRanks on both targets' networks.
 /// Per-rank scales carry psins::measure_run's noise around a rate that
@@ -258,6 +296,24 @@ Corpus compute_corpus() {
     if (value == 0 || name == "fits.simd_batches") continue;
     corpus.counters.push_back("counter." + name + " " + std::to_string(value));
   }
+
+  // FitPresent over inputs whose middle trace lacks one block, and the
+  // checkpoint files of both policies, after the counter snapshot so the
+  // flow's counters stay its own.
+  std::vector<trace::TaskTrace> gapped = inputs;
+  std::vector<trace::BasicBlockRecord>& middle = gapped[1].blocks;
+  middle.erase(middle.begin() + static_cast<std::ptrdiff_t>(middle.size() / 2));
+  core::ExtrapolationOptions fit_present;
+  fit_present.missing = core::MissingPolicy::FitPresent;
+  const core::ExtrapolationResult restricted =
+      core::extrapolate_task(gapped, kFlowTargetCores, fit_present);
+  corpus.extrapolation.push_back(
+      artifact_line("extrap.fitpresent.trace", trace::to_binary(restricted.trace)));
+  corpus.extrapolation.push_back(
+      artifact_line("extrap.fitpresent.report_csv", restricted.report.to_csv()));
+  add_checkpoint_lines("zerofill", inputs, core::MissingPolicy::ZeroFill, corpus.checkpoints);
+  add_checkpoint_lines("fitpresent", gapped, core::MissingPolicy::FitPresent,
+                       corpus.checkpoints);
 
   for (const char* app_name : {"specfem3d", "uh3d", "hpcg"}) {
     const auto app = synth::make_app(app_name);
@@ -355,6 +411,8 @@ TEST(GoldenCorpusTest, FlowCounters) { expect_section("counter.", corpus().count
 TEST(GoldenCorpusTest, MeasuredRuns) { expect_section("measure.", corpus().measurements); }
 
 TEST(GoldenCorpusTest, MultiMapsSamples) { expect_section("multimaps.", corpus().multimaps); }
+
+TEST(GoldenCorpusTest, CheckpointBytes) { expect_section("ckpt.", corpus().checkpoints); }
 
 // Computed in the test itself (not in corpus()) so its run time shows.
 TEST(GoldenCorpusTest, ReplayAtScale) {
