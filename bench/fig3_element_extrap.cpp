@@ -31,13 +31,15 @@ int main() {
 
   constexpr std::uint64_t kBlock = 1;  // compute_forces_elastic
   util::Table table({"Element", "@96", "@384", "@1536", "Best Fit", "Extrap @6144"});
-  for (const auto& fit : result.report.elements) {
+  for (std::size_t i = 0; i < result.report.elements.size(); ++i) {
+    const auto& fit = result.report.elements[i];
     if (fit.key.block_id != kBlock || !fit.key.is_block_level()) continue;
     const auto element = static_cast<trace::BlockElement>(fit.key.element);
+    const auto inputs = result.report.inputs(i);
     table.add_row({trace::block_element_name(element),
-                   util::format("%.4g", fit.inputs[0]),
-                   util::format("%.4g", fit.inputs[1]),
-                   util::format("%.4g", fit.inputs[2]),
+                   util::format("%.4g", inputs[0]),
+                   util::format("%.4g", inputs[1]),
+                   util::format("%.4g", inputs[2]),
                    fit.model.describe(),
                    util::format("%.4g", fit.clamped)});
   }
@@ -45,13 +47,15 @@ int main() {
 
   std::printf("\nInstruction-level elements of the same block (first memory instr):\n");
   util::Table instr_table({"Element", "@96", "@384", "@1536", "Best Fit", "Extrap @6144"});
-  for (const auto& fit : result.report.elements) {
+  for (std::size_t i = 0; i < result.report.elements.size(); ++i) {
+    const auto& fit = result.report.elements[i];
     if (fit.key.block_id != kBlock || fit.key.instr_index != 0) continue;
     const auto element = static_cast<trace::InstrElement>(fit.key.element);
+    const auto inputs = result.report.inputs(i);
     instr_table.add_row({trace::instr_element_name(element),
-                         util::format("%.4g", fit.inputs[0]),
-                         util::format("%.4g", fit.inputs[1]),
-                         util::format("%.4g", fit.inputs[2]),
+                         util::format("%.4g", inputs[0]),
+                         util::format("%.4g", inputs[1]),
+                         util::format("%.4g", inputs[2]),
                          fit.model.describe(),
                          util::format("%.4g", fit.clamped)});
   }

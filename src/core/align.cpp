@@ -1,8 +1,6 @@
 #include "core/align.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -10,36 +8,32 @@
 namespace pmacx::core {
 namespace {
 
-/// Values for one key across all traces, with presence flags; missing values
-/// are completed per policy (nearest neighbour for CarryLast, 0 otherwise).
-struct Series {
-  std::vector<double> values;
-  std::vector<bool> present;
-};
-
-void complete_series(Series& series, MissingPolicy policy) {
-  const std::size_t n = series.values.size();
+/// Completes one element's missing values in place: nearest present
+/// neighbour for CarryLast, 0 otherwise.
+void complete_series(std::span<double> values, std::span<const std::uint8_t> present,
+                     MissingPolicy policy) {
+  const std::size_t n = values.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (series.present[i]) continue;
+    if (present[i]) continue;
     if (policy == MissingPolicy::ZeroFill || policy == MissingPolicy::FitPresent) {
       // FitPresent only needs placeholders — the extrapolator fits the
       // present points and ignores these values.
-      series.values[i] = 0.0;
+      values[i] = 0.0;
       continue;
     }
     // CarryLast: nearest present neighbour, preferring earlier core counts.
     double value = 0.0;
     std::size_t best_distance = n + 1;
     for (std::size_t j = 0; j < n; ++j) {
-      if (!series.present[j]) continue;
+      if (!present[j]) continue;
       const std::size_t distance =
           i > j ? i - j : (j - i) + 0;  // earlier neighbours tie-break by <=
       if (distance < best_distance || (distance == best_distance && j < i)) {
         best_distance = distance;
-        value = series.values[j];
+        value = values[j];
       }
     }
-    series.values[i] = value;
+    values[i] = value;
   }
 }
 
@@ -81,83 +75,130 @@ Alignment align_over(std::span<const trace::TaskTrace> traces,
 
   Alignment alignment;
   alignment.axis.assign(axis.begin(), axis.end());
+  const std::size_t n = traces.size();
 
-  // Union of block ids with presence masks.
-  std::map<std::uint64_t, std::vector<bool>> block_presence;
-  for (std::size_t t = 0; t < traces.size(); ++t) {
-    for (const auto& block : traces[t].blocks) {
-      auto [it, inserted] =
-          block_presence.try_emplace(block.id, std::vector<bool>(traces.size(), false));
-      it->second[t] = true;
+  // Union of block ids, and each block's record in every trace (nullptr
+  // where absent).
+  std::vector<std::uint64_t> ids;
+  for (const auto& trace : traces)
+    for (const auto& block : trace.blocks) ids.push_back(block.id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<const trace::BasicBlockRecord*> records(ids.size() * n);
+  for (std::size_t b = 0; b < ids.size(); ++b)
+    for (std::size_t t = 0; t < n; ++t) records[b * n + t] = traces[t].find_block(ids[b]);
+
+  // Count the elements of the blocks the policy keeps, then fill columns of
+  // exactly that size.  The skeleton record of a block comes from the
+  // highest core count that has it (the closest behaviour to the
+  // extrapolation target).
+  auto skeleton_of = [&](std::size_t b) -> const trace::BasicBlockRecord* {
+    const auto* first = records.data() + b * n;
+    if (policy == MissingPolicy::Drop && std::find(first, first + n, nullptr) != first + n)
+      return nullptr;
+    for (std::size_t t = n; t-- > 0;)
+      if (first[t] != nullptr) return first[t];
+    PMACX_ASSERT(false, "block id without a record");
+    return nullptr;
+  };
+  std::size_t count = 0;
+  std::size_t kept = 0;
+  for (std::size_t b = 0; b < ids.size(); ++b) {
+    if (const auto* block = skeleton_of(b)) {
+      count += trace::kBlockElementCount + block->instructions.size() * trace::kInstrElementCount;
+      ++kept;
     }
   }
+  alignment.keys.resize(count);
+  alignment.slots.resize(count);
+  alignment.values.resize(count * n, 0.0);
+  alignment.present.resize(count * n, 0);
+  alignment.skeleton.reserve(kept);
 
-  for (const auto& [block_id, presence] : block_presence) {
-    const bool everywhere = std::all_of(presence.begin(), presence.end(),
-                                        [](bool present) { return present; });
-    if (policy == MissingPolicy::Drop && !everywhere) continue;
-
-    // Skeleton record: metadata from the highest core count that has the
-    // block (the closest behaviour to the extrapolation target).
-    const trace::BasicBlockRecord* skeleton_block = nullptr;
-    for (std::size_t t = traces.size(); t-- > 0;) {
-      if ((skeleton_block = traces[t].find_block(block_id)) != nullptr) break;
+  std::size_t e = 0;
+  auto emit = [&](const ElementKey& key, const ElementSlot& slot, auto&& value_in) {
+    alignment.keys[e] = key;
+    alignment.slots[e] = slot;
+    double* values = alignment.values.data() + e * n;
+    std::uint8_t* present = alignment.present.data() + e * n;
+    for (std::size_t t = 0; t < n; ++t) {
+      if (const double* value = value_in(t)) {
+        values[t] = *value;
+        present[t] = 1;
+      }
     }
-    PMACX_ASSERT(skeleton_block != nullptr, "presence map out of sync");
+    complete_series({values, n}, {present, n}, policy);
+    ++e;
+  };
+
+  std::vector<const trace::InstructionRecord*> matches(n);
+  for (std::size_t b = 0; b < ids.size(); ++b) {
+    const trace::BasicBlockRecord* skeleton_block = skeleton_of(b);
+    if (skeleton_block == nullptr) continue;
+    const auto* in_trace = records.data() + b * n;
+    const auto block_slot = static_cast<std::uint32_t>(alignment.skeleton.size());
     alignment.skeleton.push_back(*skeleton_block);
 
-    auto emit = [&](const ElementKey& key, Series series) {
-      complete_series(series, policy);
-      AlignedElement element;
-      element.key = key;
-      element.values = std::move(series.values);
-      element.filled.reserve(series.present.size());
-      for (bool present : series.present) element.filled.push_back(!present);
-      alignment.elements.push_back(std::move(element));
-    };
-
     // Block-level elements.
-    for (std::size_t e = 0; e < trace::kBlockElementCount; ++e) {
-      Series series;
-      series.values.resize(traces.size(), 0.0);
-      series.present.resize(traces.size(), false);
-      for (std::size_t t = 0; t < traces.size(); ++t) {
-        if (const auto* block = traces[t].find_block(block_id)) {
-          series.values[t] = block->features[e];
-          series.present[t] = true;
-        }
-      }
-      emit(ElementKey{block_id, -1, static_cast<std::uint32_t>(e)}, std::move(series));
+    for (std::size_t k = 0; k < trace::kBlockElementCount; ++k) {
+      emit(ElementKey{ids[b], -1, static_cast<std::uint32_t>(k)}, ElementSlot{block_slot, -1},
+           [&](std::size_t t) {
+             return in_trace[t] != nullptr ? &in_trace[t]->features[k] : nullptr;
+           });
     }
 
-    // Instruction-level elements, over the skeleton's instruction set.
-    for (const auto& instr : skeleton_block->instructions) {
-      PMACX_CHECK(instr.index <= trace::kMaxInstrIndex,
-                  "alignment: block " + std::to_string(block_id) + " instr " +
-                      std::to_string(instr.index) + " exceeds the largest instruction index");
-      for (std::size_t e = 0; e < trace::kInstrElementCount; ++e) {
-        Series series;
-        series.values.resize(traces.size(), 0.0);
-        series.present.resize(traces.size(), false);
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-          const auto* block = traces[t].find_block(block_id);
-          if (block == nullptr) continue;
-          for (const auto& candidate : block->instructions) {
-            if (candidate.index == instr.index) {
-              series.values[t] = candidate.features[e];
-              series.present[t] = true;
-              break;
-            }
+    // Instruction-level elements, over the skeleton's instruction set; in
+    // each trace the first instruction with the same index supplies them.
+    const auto& instructions = skeleton_block->instructions;
+    for (std::size_t pos = 0; pos < instructions.size(); ++pos) {
+      const std::uint32_t index = instructions[pos].index;
+      PMACX_CHECK(index <= trace::kMaxInstrIndex,
+                  "alignment: block " + std::to_string(ids[b]) + " instr " +
+                      std::to_string(index) + " exceeds the largest instruction index");
+      for (std::size_t t = 0; t < n; ++t) {
+        matches[t] = nullptr;
+        if (in_trace[t] == nullptr) continue;
+        for (const auto& candidate : in_trace[t]->instructions) {
+          if (candidate.index == index) {
+            matches[t] = &candidate;
+            break;
           }
         }
-        emit(ElementKey{block_id, static_cast<std::int32_t>(instr.index),
-                        static_cast<std::uint32_t>(e)},
-             std::move(series));
+      }
+      const ElementSlot slot{block_slot, static_cast<std::int32_t>(pos)};
+      for (std::size_t k = 0; k < trace::kInstrElementCount; ++k) {
+        emit(ElementKey{ids[b], static_cast<std::int32_t>(index), static_cast<std::uint32_t>(k)},
+             slot, [&](std::size_t t) {
+               return matches[t] != nullptr ? &matches[t]->features[k] : nullptr;
+             });
       }
     }
   }
-
+  PMACX_ASSERT(e == count, "alignment filled a different element count than it counted");
   return alignment;
+}
+
+bool Alignment::fits_full_series(std::size_t e, MissingPolicy policy) const {
+  if (policy != MissingPolicy::FitPresent) return true;
+  const std::span<const std::uint8_t> flags = presence(e);
+  const auto observed = static_cast<std::size_t>(std::count(flags.begin(), flags.end(), 1));
+  return observed < 2 || observed == flags.size();
+}
+
+FitSeries Alignment::fit_series(std::size_t e, MissingPolicy policy,
+                                std::vector<double>& axis_scratch,
+                                std::vector<double>& values_scratch) const {
+  if (fits_full_series(e, policy)) return {axis, series(e)};
+  axis_scratch.clear();
+  values_scratch.clear();
+  const std::span<const double> values = series(e);
+  const std::span<const std::uint8_t> flags = presence(e);
+  for (std::size_t t = 0; t < values.size(); ++t) {
+    if (!flags[t]) continue;
+    axis_scratch.push_back(axis[t]);
+    values_scratch.push_back(values[t]);
+  }
+  return {axis_scratch, values_scratch};
 }
 
 }  // namespace pmacx::core

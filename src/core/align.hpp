@@ -41,26 +41,56 @@ struct ElementKey {
   auto operator<=>(const ElementKey&) const = default;
 };
 
-/// One aligned element: the key plus its value at every input core count
-/// (same order as the input traces).
-struct AlignedElement {
-  ElementKey key;
-  std::vector<double> values;
-  /// True where the value was synthesized by the MissingPolicy rather than
-  /// present in the input trace.
-  std::vector<bool> filled;
+/// Where an element's extrapolated value lands in the output trace: the
+/// skeleton block and, for instruction-level elements, the instruction's
+/// position in that block's instruction list (-1 for block-level elements).
+struct ElementSlot {
+  std::uint32_t block = 0;
+  std::int32_t instr = -1;
 };
 
-/// The alignment of a set of traces: every element's series plus the block
-/// skeleton (location, instruction arity) used to rebuild an output trace.
+/// The series one element is fitted over (see Alignment::fit_series).
+struct FitSeries {
+  std::span<const double> axis;
+  std::span<const double> values;
+};
+
+/// The alignment of a set of traces, stored as columns indexed by element:
+/// every element's key, output slot and series (plus presence flags), and
+/// the block skeleton (location, instruction arity) used to rebuild an
+/// output trace.
 struct Alignment {
   /// The abscissa each trace sits at — core counts for the paper's scaling
   /// axis, or an input-parameter value for Section VI's parameter axis.
   std::vector<double> axis;
-  std::vector<AlignedElement> elements;   ///< sorted by key
+  std::vector<ElementKey> keys;  ///< sorted
+  std::vector<ElementSlot> slots;
+  /// Element-major series: element e's value at axis[t] is values[e*n + t]
+  /// (n = axis.size()), completed per the MissingPolicy.
+  std::vector<double> values;
+  /// Same shape as `values`: 1 where the value is present in input trace t,
+  /// 0 where the MissingPolicy synthesized it.
+  std::vector<std::uint8_t> present;
   /// Blocks in the union (after policy), with location metadata from the
   /// last (largest-axis) trace that has them.
   std::vector<trace::BasicBlockRecord> skeleton;
+
+  std::size_t size() const { return keys.size(); }
+  std::span<const double> series(std::size_t e) const {
+    return {values.data() + e * axis.size(), axis.size()};
+  }
+  std::span<const std::uint8_t> presence(std::size_t e) const {
+    return {present.data() + e * axis.size(), axis.size()};
+  }
+  /// True when element e's fit series is its full series: always, except
+  /// under FitPresent for an element observed at ≥ 2 but not all points.
+  bool fits_full_series(std::size_t e, MissingPolicy policy) const;
+  /// The series element e is fitted over: the full axis and series, or
+  /// under FitPresent only the points where the element was observed (≥ 2
+  /// needed, else the full zero-filled series).  A restricted series is
+  /// copied into the scratch buffers, which the result then points into.
+  FitSeries fit_series(std::size_t e, MissingPolicy policy, std::vector<double>& axis_scratch,
+                       std::vector<double>& values_scratch) const;
 };
 
 /// Aligns `traces` (all same app/target, strictly increasing core counts,

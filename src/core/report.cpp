@@ -45,7 +45,8 @@ std::string FitReport::to_csv() const {
     header.emplace_back(column);
 
   util::Table table(std::move(header));
-  for (const ElementFit& fit : elements) {
+  for (std::size_t i = 0; i < elements.size(); ++i) {
+    const ElementFit& fit = elements[i];
     std::vector<std::string> row;
     row.push_back(std::to_string(fit.key.block_id));
     row.push_back(fit.key.is_block_level() ? "-" : std::to_string(fit.key.instr_index));
@@ -54,7 +55,7 @@ std::string FitReport::to_csv() const {
                             static_cast<trace::BlockElement>(fit.key.element))
                       : trace::instr_element_name(
                             static_cast<trace::InstrElement>(fit.key.element)));
-    for (double value : fit.inputs) row.push_back(util::format("%.17g", value));
+    for (double value : inputs(i)) row.push_back(util::format("%.17g", value));
     row.push_back(stats::form_name(fit.model.form));
     for (double param : fit.model.params) row.push_back(util::format("%.17g", param));
     row.push_back(util::format("%.6g", fit.model.sse));

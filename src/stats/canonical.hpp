@@ -59,6 +59,7 @@ int form_complexity(Form form);
 /// exponential on data with mixed signs) have ok=false and infinite sse.
 struct FittedModel {
   Form form = Form::Constant;
+  bool ok = false;  ///< next to `form`, so a model is 48 bytes, not 56
   /// Parameters [a, b, c]; meaning depends on `form` (see Form docs).
   std::array<double, 3> params{0.0, 0.0, 0.0};
   /// Sum of squared residuals in the *original* data space.
@@ -66,7 +67,6 @@ struct FittedModel {
   /// Coefficient of determination in the original data space; 1 for perfect
   /// fits, can be negative for fits worse than the mean.
   double r2 = 0.0;
-  bool ok = false;
 
   /// Evaluates the model at core count p.  Exponential growth is clamped to
   /// ±1e300 to keep downstream arithmetic finite.  Log, Power, and InverseP

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <thread>
 
 #include "core/extrapolator.hpp"
 #include "trace/binary_io.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/threadpool.hpp"
 
 namespace pmacx {
@@ -268,10 +272,23 @@ TEST(ExtrapolatorTest, FitPresentIgnoresMissingObservations) {
 
   core::ExtrapolationOptions fit_present;
   fit_present.missing = core::MissingPolicy::FitPresent;
+  fit_present.bootstrap_resamples = 50;
   const auto good = extrapolate_task(series, 16384, fit_present);
   const double expected = 4096.0 * (1.0 + std::log2(16384));
   EXPECT_NEAR(good.trace.find_block(2)->get(BlockElement::MemLoads), expected,
               0.01 * expected);
+  // The bootstrap resamples the series that was fitted — the three present
+  // points — so its interval centres on the same extrapolation.
+  bool checked = false;
+  for (const auto& fit : good.report.elements) {
+    if (fit.key.block_id != 2 || !fit.key.is_block_level() ||
+        fit.key.element != static_cast<std::uint32_t>(BlockElement::MemLoads))
+      continue;
+    ASSERT_TRUE(fit.has_interval);
+    EXPECT_NEAR(fit.interval.point, fit.extrapolated, 0.01 * fit.extrapolated);
+    checked = true;
+  }
+  EXPECT_TRUE(checked);
 
   core::ExtrapolationOptions zero_fill;
   zero_fill.missing = core::MissingPolicy::ZeroFill;
@@ -336,6 +353,43 @@ void expect_identical_results(const core::ExtrapolationResult& serial,
   }
 }
 
+/// law_series() widened to `copies` copies of its two blocks (fresh ids,
+/// each copy's values scaled), with every fifth copy of block 2 missing from
+/// the middle trace so FitPresent batches mix full and restricted series.
+std::vector<TaskTrace> wide_law_series(std::size_t copies) {
+  std::vector<TaskTrace> series = law_series();
+  for (std::size_t t = 0; t < series.size(); ++t) {
+    const std::vector<trace::BasicBlockRecord> base = series[t].blocks;
+    series[t].blocks.clear();
+    for (std::size_t c = 0; c < copies; ++c) {
+      for (trace::BasicBlockRecord block : base) {
+        if (t == 1 && block.id == 2 && c % 5 == 0) continue;
+        block.id += 2 * c;
+        const double scale = 1.0 + 0.01 * static_cast<double>(c);
+        block.set(BlockElement::MemLoads, scale * block.get(BlockElement::MemLoads));
+        for (auto& instr : block.instructions)
+          instr.set(InstrElement::MemOps, scale * instr.get(InstrElement::MemOps));
+        series[t].blocks.push_back(block);
+      }
+    }
+    series[t].sort_blocks();
+  }
+  return series;
+}
+
+/// Counter increments over one call of `run`.
+template <typename Run>
+std::map<std::string, std::uint64_t> counter_deltas(Run&& run) {
+  std::map<std::string, std::uint64_t> deltas;
+  for (const auto& [name, value] : util::metrics::Registry::global().snapshot().counters)
+    deltas[name] -= value;
+  run();
+  for (const auto& [name, value] : util::metrics::Registry::global().snapshot().counters)
+    deltas[name] += value;
+  std::erase_if(deltas, [](const auto& entry) { return entry.second == 0; });
+  return deltas;
+}
+
 TEST(ExtrapolatorTest, ParallelMatchesSerialByteIdentical) {
   ExtrapolationOptions serial_options;
   serial_options.threads = 1;
@@ -345,6 +399,25 @@ TEST(ExtrapolatorTest, ParallelMatchesSerialByteIdentical) {
     const auto serial = extrapolate_task(law_series(), 8192, serial_options);
     const auto parallel = extrapolate_task(law_series(), 8192, parallel_options);
     expect_identical_results(serial, parallel);
+  }
+
+  // More than three fit batches of 1024 elements, so batches and evaluate
+  // ranges really spread across the workers: bytes and counters must not
+  // depend on the thread count.
+  const std::vector<TaskTrace> wide = wide_law_series(160);
+  for (const core::MissingPolicy policy :
+       {core::MissingPolicy::ZeroFill, core::MissingPolicy::FitPresent}) {
+    serial_options.missing = policy;
+    parallel_options.missing = policy;
+    core::ExtrapolationResult serial, parallel;
+    const auto serial_counters =
+        counter_deltas([&] { serial = extrapolate_task(wide, 8192, serial_options); });
+    const auto parallel_counters =
+        counter_deltas([&] { parallel = extrapolate_task(wide, 8192, parallel_options); });
+    ASSERT_GT(serial.report.elements.size(), 3u * 1024u);
+    expect_identical_results(serial, parallel);
+    EXPECT_EQ(serial_counters, parallel_counters);
+    EXPECT_EQ(serial_counters.at("fits.total"), serial.report.elements.size());
   }
 }
 
@@ -466,10 +539,25 @@ TEST(ModelSetTest, OneFitServesManyTargets) {
   EXPECT_GT(models.memory_bytes(), sizeof(core::TaskModelSet));
   // A cached set must not keep a reference to a caller-owned pool alive.
   EXPECT_EQ(models.options.pool, nullptr);
-  for (std::uint32_t target : {4096u, 8192u, 16384u, 32768u}) {
-    const auto result = core::extrapolate_from_models(models, target);
-    EXPECT_EQ(result.trace.core_count, target);
-    EXPECT_TRUE(result.trace.extrapolated);
+  const std::vector<std::uint32_t> targets = {4096u, 8192u, 16384u, 32768u};
+  std::vector<core::ExtrapolationResult> serial;
+  for (std::uint32_t target : targets) {
+    serial.push_back(core::extrapolate_from_models(models, target));
+    EXPECT_EQ(serial.back().trace.core_count, target);
+    EXPECT_TRUE(serial.back().trace.extrapolated);
+  }
+
+  // The set is only read: four threads evaluating it at once, one target
+  // each, get the serial answers.
+  std::vector<core::ExtrapolationResult> concurrent(targets.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < targets.size(); ++i)
+    threads.emplace_back(
+        [&, i] { concurrent[i] = core::extrapolate_from_models(models, targets[i]); });
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    SCOPED_TRACE("target " + std::to_string(targets[i]));
+    expect_identical_results(serial[i], concurrent[i]);
   }
 }
 

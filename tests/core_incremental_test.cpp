@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,7 +69,7 @@ TaskTrace law_trace(double p) {
   return task;
 }
 
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
@@ -79,20 +81,24 @@ bool bits_equal(const std::array<double, 3>& a, const std::array<double, 3>& b) 
   return std::memcmp(a.data(), b.data(), sizeof a) == 0;
 }
 
-/// Bitwise equality of every field of two fitted elements: series, scores,
-/// influence, and each candidate's form, status, parameters, SSE, and R²
-/// (EXPECT_EQ on doubles would accept 0.0 == -0.0 and reject NaN == NaN —
-/// both wrong here).
-void expect_same_element(const core::ElementModels& ma, const core::ElementModels& mb,
-                         std::size_t i) {
-  EXPECT_TRUE(bits_equal(ma.fit_axis, mb.fit_axis)) << "element " << i;
-  EXPECT_TRUE(bits_equal(ma.fit_values, mb.fit_values)) << "element " << i;
-  EXPECT_TRUE(bits_equal(ma.scores, mb.scores)) << "element " << i;
-  EXPECT_EQ(ma.influential, mb.influential) << "element " << i;
-  ASSERT_EQ(ma.candidates.size(), mb.candidates.size()) << "element " << i;
-  for (std::size_t c = 0; c < ma.candidates.size(); ++c) {
-    const stats::FittedModel& fa = ma.candidates[c];
-    const stats::FittedModel& fb = mb.candidates[c];
+/// Bitwise equality of every field of element i in two fitted sets: fit
+/// series, scores, influence, and each candidate's form, status,
+/// parameters, SSE, and R² (EXPECT_EQ on doubles would accept 0.0 == -0.0
+/// and reject NaN == NaN — both wrong here).
+void expect_same_element(const TaskModelSet& a, const TaskModelSet& b, std::size_t i) {
+  std::vector<double> axis_a, values_a, axis_b, values_b;
+  const core::FitSeries sa = a.alignment.fit_series(i, a.options.missing, axis_a, values_a);
+  const core::FitSeries sb = b.alignment.fit_series(i, b.options.missing, axis_b, values_b);
+  EXPECT_TRUE(bits_equal(sa.axis, sb.axis)) << "element " << i;
+  EXPECT_TRUE(bits_equal(sa.values, sb.values)) << "element " << i;
+  EXPECT_TRUE(bits_equal(a.scores_of(i), b.scores_of(i))) << "element " << i;
+  EXPECT_EQ(a.influential[i], b.influential[i]) << "element " << i;
+  const std::span<const stats::FittedModel> ca = a.candidates_of(i);
+  const std::span<const stats::FittedModel> cb = b.candidates_of(i);
+  ASSERT_EQ(ca.size(), cb.size()) << "element " << i;
+  for (std::size_t c = 0; c < ca.size(); ++c) {
+    const stats::FittedModel& fa = ca[c];
+    const stats::FittedModel& fb = cb[c];
     EXPECT_EQ(fa.form, fb.form) << "element " << i << " candidate " << c;
     EXPECT_EQ(fa.ok, fb.ok) << "element " << i << " candidate " << c;
     EXPECT_TRUE(bits_equal(fa.params, fb.params)) << "element " << i << " candidate " << c;
@@ -107,9 +113,9 @@ void expect_identical(const TaskModelSet& a, const TaskModelSet& b) {
   EXPECT_EQ(a.rank, b.rank);
   EXPECT_EQ(a.target_system, b.target_system);
   EXPECT_EQ(a.axis_name, b.axis_name);
-  ASSERT_EQ(a.models.size(), b.models.size());
-  for (std::size_t i = 0; i < a.models.size(); ++i)
-    expect_same_element(a.models[i], b.models[i], i);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.alignment.keys, b.alignment.keys);
+  for (std::size_t i = 0; i < a.size(); ++i) expect_same_element(a, b, i);
 }
 
 /// End-to-end check: the sets answer extrapolation queries (point and
@@ -175,7 +181,7 @@ TEST(IncrementalFitTest, MatchesColdFitForEveryUploadOrder) {
 
       expect_identical(incremental, cold);
       expect_same_answers(incremental, cold, 1024);
-      EXPECT_EQ(stats.elements_total, incremental.models.size());
+      EXPECT_EQ(stats.elements_total, incremental.size());
       EXPECT_EQ(stats.cold, !have_previous);
 
       previous = incremental;
@@ -231,30 +237,38 @@ TEST(IncrementalFitTest, IncompatiblePreviousDegradesToColdFitNotWrongModels) {
 }
 
 TEST(IncrementalFitTest, CheckpointV3RoundTripsEveryFieldBitwise) {
-  const std::vector<TaskTrace> inputs = {law_trace(16), law_trace(32), law_trace(64)};
-  const ExtrapolationOptions options = serial_options();
-  const TaskModelSet fitted = core::fit_task_models(inputs, options);
-  ASSERT_FALSE(fitted.models.empty());
+  // ZeroFill fits every element over the full series; FitPresent with a
+  // block missing from the middle trace also stores restricted series.
+  std::vector<TaskTrace> gapped = {law_trace(16), law_trace(32), law_trace(64)};
+  std::erase_if(gapped[1].blocks, [](const auto& block) { return block.id == 2; });
+  ExtrapolationOptions fit_present = serial_options();
+  fit_present.missing = core::MissingPolicy::FitPresent;
+  const std::pair<std::vector<TaskTrace>, ExtrapolationOptions> cases[] = {
+      {{law_trace(16), law_trace(32), law_trace(64)}, serial_options()},
+      {gapped, fit_present}};
+  for (const auto& [inputs, options] : cases) {
+    const TaskModelSet fitted = core::fit_task_models(inputs, options);
+    ASSERT_GT(fitted.size(), 0u);
 
-  core::CheckpointConfig config;
-  config.dir = testing::TempDir() + "inc_ckpt_v3";
-  config.digest = core::models_digest_for_traces(inputs, options);
-  config.chunk_elements = 8;
-  core::ModelCheckpoint store(config);
-  store.open(fitted.models.size());
+    core::CheckpointConfig config;
+    config.dir = testing::TempDir() + "inc_ckpt_v3";
+    config.digest = core::models_digest_for_traces(inputs, options);
+    config.chunk_elements = 8;
+    std::filesystem::remove_all(config.dir);
+    core::ModelCheckpoint store(config);
+    store.open(fitted.size());
+    for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk)
+      store.save_chunk(chunk, fitted);
 
-  for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk) {
-    const std::size_t begin = store.chunk_begin(chunk);
-    const std::size_t end = store.chunk_end(chunk);
-    store.save_chunk(chunk, std::span(fitted.models).subspan(begin, end - begin));
-  }
-  for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk) {
-    const auto loaded = store.load_chunk(chunk);
-    ASSERT_TRUE(loaded.has_value()) << "chunk " << chunk;
-    const std::size_t begin = store.chunk_begin(chunk);
-    ASSERT_EQ(loaded->size(), store.chunk_end(chunk) - begin);
-    for (std::size_t i = 0; i < loaded->size(); ++i)
-      expect_same_element((*loaded)[i], fitted.models[begin + i], begin + i);
+    // Load into a set with the same alignment and blanked model columns.
+    TaskModelSet loaded = fitted;
+    std::fill(loaded.candidates.begin(), loaded.candidates.end(), stats::FittedModel{});
+    std::fill(loaded.scores.begin(), loaded.scores.end(), 0.0);
+    for (std::size_t chunk = 0; chunk < store.chunk_count(); ++chunk)
+      ASSERT_TRUE(store.load_chunk(chunk, loaded)) << "chunk " << chunk;
+    EXPECT_EQ(store.chunks_discarded(), 0u);
+    expect_identical(loaded, fitted);
+    std::filesystem::remove_all(config.dir);
   }
 }
 

@@ -797,6 +797,31 @@ TEST(CheckpointTest, DigestMismatchDiscardsStaleStateAndRefitsCleanly) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CheckpointTest, OtherSeriesUnderTheSameDigestAreRefitNotReused) {
+  // Chunks stored under the workload's digest but fitted over other series
+  // (a digest collision, or a directory reused by hand) must not smuggle
+  // those models in: a load compares every stored fit series with the one
+  // the inputs derive and discards a chunk that differs.
+  const auto series = checkpoint_series();
+  const std::string dir = ::testing::TempDir() + "/pmacx_ckpt_other_series";
+  std::filesystem::remove_all(dir);
+  core::CheckpointConfig config;
+  config.dir = dir;
+  config.digest = "aaaaaaaaaaaaaaaa";
+  config.chunk_elements = 2;
+  core::fit_task_models_checkpointed(series, {}, config, nullptr);
+
+  std::vector<TaskTrace> other = series;
+  other.back().core_count = 64;  // every element's fit axis differs
+  core::CheckpointStats stats;
+  const auto resumed = core::fit_task_models_checkpointed(other, {}, config, &stats);
+  EXPECT_EQ(stats.elements_reused, 0u) << "chunks of other series must never be reused";
+  EXPECT_EQ(stats.elements_fitted, stats.elements_total);
+  EXPECT_EQ(checkpoint_golden_bytes(resumed),
+            checkpoint_golden_bytes(core::fit_task_models(other, {})));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   const auto series = checkpoint_series();
   const std::string dir = ::testing::TempDir() + "/pmacx_ckpt_version";
@@ -822,7 +847,7 @@ TEST(CheckpointTest, VersionMismatchDiscardsTheCheckpoint) {
   };
   put_str("pmacx-ckpt-v2");
   put_str(config.digest);
-  put_u64(first.models.size());
+  put_u64(first.size());
   put_u64(config.chunk_elements);
   util::save_checked(dir + "/manifest.ckpt", payload);
   const std::string first_chunk = util::read_file(dir + "/models_000000.ckpt");
