@@ -34,7 +34,7 @@ void BM_ReplayRanks(benchmark::State& state) {
   simmpi::NetworkModel net;
 
   std::size_t events = 0;
-  for (const auto& tl : timelines) events += tl.steps.size();
+  for (const auto& tl : timelines) events += tl.events.size();
   for (auto _ : state) {
     benchmark::DoNotOptimize(simmpi::replay(timelines, net));
   }
@@ -55,7 +55,7 @@ void BM_ReplayOnTarget(benchmark::State& state, const char* app_name, const char
   const simmpi::NetworkModel net = machine::target_by_name(target).network;
 
   std::size_t events = 0;
-  for (const auto& tl : timelines) events += tl.steps.size();
+  for (const auto& tl : timelines) events += tl.events.size();
   for (auto _ : state) {
     benchmark::DoNotOptimize(simmpi::replay(timelines, net));
   }

@@ -227,14 +227,9 @@ TaskModelSet start_model_set(std::span<const trace::TaskTrace> inputs, Alignment
 util::ThreadPool* resolve_pool(const ExtrapolationOptions& options,
                                std::optional<util::ThreadPool>& local_pool) {
   if (options.pool != nullptr) return options.pool;
-  if (options.threads == 0) {
-    // Default (no explicit pool or thread count): one lazily created
-    // process-wide pool, sized by PMACX_THREADS / the hardware at first
-    // use, shared by every call — library callers looping over
-    // extrapolate_task must not pay thread spawn/join per call.
-    static util::ThreadPool shared_pool;
-    return &shared_pool;
-  }
+  // Default (no explicit pool or thread count): the process-wide pool, so
+  // library callers looping over extrapolate_task pay no spawn/join per call.
+  if (options.threads == 0) return &util::shared_pool();
   if (options.threads > 1) {
     // Explicit width: a private pool of exactly that size for this call.
     local_pool.emplace(options.threads);

@@ -45,14 +45,18 @@ struct PipelineConfig {
   /// (ScalaExtrap-style) instead of taking them from the application model.
   bool extrapolate_comm = false;
   psins::ReferenceOptions reference;
-  /// Execution parallelism for the whole run: signature collection at the
-  /// small counts proceeds concurrently (overlapping the per-count cache
-  /// simulation), element fitting and evaluation fan out inside the
-  /// extrapolator, and target-count comm timelines instantiate in parallel.  0 = resolve from
-  /// PMACX_THREADS (else hardware threads); 1 = serial.  Results are
-  /// identical to the serial path — all merges happen in deterministic
-  /// (count/rank/element) order.  Ignored when `extrapolation.pool` is set,
-  /// which then supplies the workers.
+  /// Execution parallelism for the whole run.  Stages 1, 4 and 5 are
+  /// independent simulations: the pool collects at the small counts (each
+  /// count concurrently) and at the target count (then predicts from it)
+  /// while the calling thread measures.  Stages 2 and 3 start once the
+  /// small collections end: element fitting and evaluation fan out inside
+  /// the extrapolator, and target-count comm timelines instantiate in
+  /// parallel.  0 = resolve from PMACX_THREADS (else hardware threads);
+  /// 1 = serial, every stage on the calling thread.  Results are identical
+  /// to the serial path — all merges happen in deterministic
+  /// (count/rank/element) order — and a failing run throws the error the
+  /// serial stage order meets first.  Ignored when `extrapolation.pool` is
+  /// set, which then supplies the workers.
   std::size_t threads = 0;
 };
 

@@ -80,7 +80,9 @@ struct MultiMapsOptions {
 };
 
 /// Runs the benchmark against `hierarchy` timed by `timing`; returns the
-/// full sample set (one per (working set, stride) plus random probes).
+/// full sample set (one per (working set, stride) plus random probes), in
+/// that order.  The probes are independent simulations and run on
+/// util::shared_pool(); the samples are the same at any thread count.
 std::vector<BandwidthSample> run_multimaps(const memsim::HierarchyConfig& hierarchy,
                                            const MemTimingModel& timing,
                                            const MultiMapsOptions& options = {});

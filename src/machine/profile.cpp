@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace pmacx::machine {
 
@@ -19,6 +20,7 @@ double MachineProfile::fp_seconds(double adds, double muls, double fmas, double 
 }
 
 MachineProfile build_profile(const TargetSystem& system, const MultiMapsOptions& options) {
+  util::metrics::StageTimer timer("machine.build_profile");
   system.hierarchy.validate();
   PMACX_CHECK(system.clock_ghz > 0, "profile: bad clock");
   PMACX_CHECK(system.flops_per_cycle > 0, "profile: bad fp rate");

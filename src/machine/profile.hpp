@@ -48,7 +48,8 @@ struct MachineProfile {
 
 /// Runs MultiMAPS against the target and assembles its profile.  This is
 /// the "probe the target machine" step of trace-driven modeling; it does
-/// not require the application, only the system description.
+/// not require the application, only the system description.  Timed as the
+/// `machine.build_profile` stage.
 MachineProfile build_profile(const TargetSystem& system, const MultiMapsOptions& options = {});
 
 }  // namespace pmacx::machine

@@ -12,6 +12,7 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/strings.hpp"
+#include "util/threadpool.hpp"
 
 namespace pmacx::service {
 
@@ -136,8 +137,10 @@ std::shared_ptr<const trace::AppSignature> ModelStore::signature_for(
     PMACX_CHECK(extrapolated.trace.app == model->name(),
                 "traces were collected from '" + extrapolated.trace.app +
                     "' but the request names app '" + model->name() + "'");
+    // The ranks' comm traces fan out on the process-wide pool, in rank order.
     return std::make_shared<const trace::AppSignature>(trace::AppSignature::for_task(
-        std::move(extrapolated.trace), synth::comm_traces(*model, target_cores)));
+        std::move(extrapolated.trace),
+        synth::comm_traces(*model, target_cores, &util::shared_pool())));
   });
 }
 

@@ -53,7 +53,7 @@ Channels build_channels(std::span<const RankTimeline> timelines) {
   Channels out;
   out.first_step.resize(n + 1, 0);
   for (std::uint32_t r = 0; r < n; ++r)
-    out.first_step[r + 1] = out.first_step[r] + timelines[r].steps.size();
+    out.first_step[r + 1] = out.first_step[r] + timelines[r].events.size();
   out.step_channel.assign(out.first_step[n], kNoChannel);
 
   // Senders in rank order, each one's receivers ascending, so a receiver
@@ -63,22 +63,22 @@ Channels build_channels(std::span<const RankTimeline> timelines) {
   std::uint64_t collectives = 0, bytes = 0;
   for (std::uint32_t s = 0; s < n; ++s) {
     first_channel[s] = out.channels.size();
-    const std::span<const RankTimeline::Step> steps = timelines[s].steps;
+    const std::span<const trace::CommEvent> events = timelines[s].events;
     receivers.clear();
-    for (const RankTimeline::Step& step : steps) {
-      bytes += step.event.bytes;
-      if (trace::comm_op_is_collective(step.event.op)) ++collectives;
-      if (step.event.op != CommOp::Send) continue;
-      validate_peer(s, step.event.peer);
-      receivers.push_back(static_cast<std::uint32_t>(step.event.peer));
+    for (const trace::CommEvent& event : events) {
+      bytes += event.bytes;
+      if (trace::comm_op_is_collective(event.op)) ++collectives;
+      if (event.op != CommOp::Send) continue;
+      validate_peer(s, event.peer);
+      receivers.push_back(static_cast<std::uint32_t>(event.peer));
     }
     std::sort(receivers.begin(), receivers.end());
     receivers.erase(std::unique(receivers.begin(), receivers.end()), receivers.end());
     for (const std::uint32_t receiver : receivers) out.channels.push_back({s, receiver});
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      if (steps[i].event.op != CommOp::Send) continue;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].op != CommOp::Send) continue;
       const auto at = std::lower_bound(receivers.begin(), receivers.end(),
-                                       static_cast<std::uint32_t>(steps[i].event.peer));
+                                       static_cast<std::uint32_t>(events[i].peer));
       const std::size_t c = first_channel[s] + static_cast<std::size_t>(at - receivers.begin());
       out.step_channel[out.first_step[s] + i] = static_cast<std::uint32_t>(c);
       ++out.channels[c].tail;  // counts the channel's sends for now
@@ -98,11 +98,11 @@ Channels build_channels(std::span<const RankTimeline> timelines) {
   // A receive from a peer that never sends to this rank keeps kNoChannel
   // and blocks forever.
   for (std::uint32_t r = 0; r < n; ++r) {
-    const std::span<const RankTimeline::Step> steps = timelines[r].steps;
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-      if (steps[i].event.op != CommOp::Recv) continue;
-      validate_peer(r, steps[i].event.peer);
-      const auto sender = static_cast<std::uint32_t>(steps[i].event.peer);
+    const std::span<const trace::CommEvent> events = timelines[r].events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (events[i].op != CommOp::Recv) continue;
+      validate_peer(r, events[i].peer);
+      const auto sender = static_cast<std::uint32_t>(events[i].peer);
       const auto begin = out.channels.begin() + static_cast<std::ptrdiff_t>(first_channel[sender]);
       const auto end =
           out.channels.begin() + static_cast<std::ptrdiff_t>(first_channel[sender + 1]);
@@ -180,22 +180,23 @@ ReplayResult replay(std::span<const RankTimeline> timelines, const NetworkModel&
     const RankTimeline& tl = timelines[r];
     const std::uint32_t* channel_of = channels.step_channel.data() + channels.first_step[r];
     for (;;) {
-      if (s.step == tl.steps.size()) {
-        PMACX_CHECK(tl.tail_compute_seconds >= 0, "negative tail compute burst");
-        s.time += tl.tail_compute_seconds;
-        s.outcome.compute_seconds += tl.tail_compute_seconds;
+      if (s.step == tl.events.size()) {
+        const double tail = tl.tail_compute_seconds();
+        PMACX_CHECK(tail >= 0, "negative tail compute burst");
+        s.time += tail;
+        s.outcome.compute_seconds += tail;
         s.outcome.finish_time = s.time;
         s.done = true;
         return;
       }
 
-      const RankTimeline::Step& step = tl.steps[s.step];
-      PMACX_CHECK(step.compute_seconds_before >= 0, "negative compute burst");
-      s.time += step.compute_seconds_before;
-      s.outcome.compute_seconds += step.compute_seconds_before;
+      const double burst = tl.compute_seconds_before(s.step);
+      PMACX_CHECK(burst >= 0, "negative compute burst");
+      s.time += burst;
+      s.outcome.compute_seconds += burst;
       s.arrival = s.time;
 
-      const trace::CommEvent& ev = step.event;
+      const trace::CommEvent& ev = tl.events[s.step];
       if (ev.op == CommOp::Send) {
         const std::uint32_t c = channel_of[s.step];
         Channel& channel = channels.channels[c];
@@ -296,13 +297,8 @@ std::vector<RankTimeline> timelines_from_comm(std::span<const trace::CommTrace> 
               "timelines_from_comm: traces/scales size mismatch");
   std::vector<RankTimeline> timelines(traces.size());
   for (std::size_t r = 0; r < traces.size(); ++r) {
-    const double scale = seconds_per_unit[r];
-    PMACX_CHECK(scale >= 0, "negative seconds-per-unit scale");
-    RankTimeline& tl = timelines[r];
-    tl.steps.reserve(traces[r].events.size());
-    for (const trace::CommEvent& event : traces[r].events)
-      tl.steps.push_back({event, event.compute_units_before * scale});
-    tl.tail_compute_seconds = traces[r].tail_compute_units * scale;
+    PMACX_CHECK(seconds_per_unit[r] >= 0, "negative seconds-per-unit scale");
+    timelines[r] = {traces[r].events, seconds_per_unit[r], traces[r].tail_compute_units};
   }
   return timelines;
 }

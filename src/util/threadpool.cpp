@@ -59,6 +59,11 @@ std::size_t ThreadPool::resolve_threads(std::size_t requested) {
   return requested == 0 ? default_threads() : requested;
 }
 
+ThreadPool& shared_pool() {
+  static ThreadPool pool;
+  return pool;
+}
+
 ThreadPool::ThreadPool(std::size_t threads) {
   static std::atomic<std::uint64_t> next_pool_id{0};
   pool_id_ = next_pool_id.fetch_add(1, std::memory_order_relaxed);

@@ -264,6 +264,13 @@ class ThreadPool {
   static thread_local int tls_worker_;
 };
 
+/// The process-wide pool, created on first use and sized by
+/// default_threads() (so PMACX_THREADS=1 makes it serial).  Library code
+/// that fans out without a caller-supplied pool runs here: default-option
+/// extrapolation, the MultiMAPS probes, a cold signature's comm traces.
+/// One pool for all of them, so no call pays a thread spawn and join.
+ThreadPool& shared_pool();
+
 // ---------------------------------------------------------------------------
 // Template implementations.
 

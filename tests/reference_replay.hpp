@@ -94,7 +94,7 @@ inline simmpi::ReplayResult reference_replay(std::span<const simmpi::RankTimelin
 
       if (s.phase == Phase::Blocked) {
         if (!s.resume) {
-          const trace::CommEvent& ev = tl.steps[s.step].event;
+          const trace::CommEvent& ev = tl.events[s.step];
           if (trace::comm_op_is_collective(ev.op)) {
             const CollectiveOccurrence& occ = collectives[s.collective_index - 1];
             if (occ.resolved) s.resume = occ.completion;
@@ -112,24 +112,24 @@ inline simmpi::ReplayResult reference_replay(std::span<const simmpi::RankTimelin
         continue;
       }
 
-      if (s.step >= tl.steps.size()) {
-        s.time += tl.tail_compute_seconds;
-        s.outcome.compute_seconds += tl.tail_compute_seconds;
+      if (s.step >= tl.events.size()) {
+        s.time += tl.tail_compute_seconds();
+        s.outcome.compute_seconds += tl.tail_compute_seconds();
         s.outcome.finish_time = s.time;
         s.phase = Phase::Done;
         progressed = true;
         continue;
       }
 
-      const RankTimeline::Step& step = tl.steps[s.step];
-      PMACX_CHECK(step.compute_seconds_before >= 0, "negative compute burst");
-      s.time += step.compute_seconds_before;
-      s.outcome.compute_seconds += step.compute_seconds_before;
+      const double burst = tl.compute_seconds_before(s.step);
+      PMACX_CHECK(burst >= 0, "negative compute burst");
+      s.time += burst;
+      s.outcome.compute_seconds += burst;
       s.arrival = s.time;
       s.phase = Phase::Blocked;
       progressed = true;
 
-      const trace::CommEvent& ev = step.event;
+      const trace::CommEvent& ev = tl.events[s.step];
       if (ev.op == CommOp::Send) {
         validate_peer(r, ev.peer);
         const auto key = std::make_pair(r, static_cast<std::uint32_t>(ev.peer));

@@ -33,8 +33,14 @@ NetworkModel flat_network() {
   return net;
 }
 
-RankTimeline::Step step(CommOp op, std::int32_t peer, std::uint64_t bytes, double compute) {
-  return {CommEvent{op, peer, bytes, 0.0}, compute};
+/// A hand-built event whose compute burst is given in seconds: views()
+/// replays every rank at one second per unit.
+CommEvent event(CommOp op, std::int32_t peer, std::uint64_t bytes, double compute) {
+  return {op, peer, bytes, compute};
+}
+
+std::vector<RankTimeline> views(const std::vector<trace::CommTrace>& ranks) {
+  return simmpi::timelines_from_comm(ranks, std::vector<double>(ranks.size(), 1.0));
 }
 
 // -------------------------------------------------------------- network ----
@@ -85,10 +91,10 @@ TEST(NetworkTest, P2pOpRejectedAsCollective) {
 TEST(ReplayTest, RendezvousTimingExact) {
   // Rank 0 computes 5s then sends 200 B; rank 1 computes 2s then receives.
   // Match at max(5,2)=5, transfer 1+2=3 → both finish at 8.
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 200, 5.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 200, 2.0));
-  const auto result = replay(tl, flat_network());
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 200, 5.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 200, 2.0));
+  const auto result = replay(views(tl), flat_network());
   EXPECT_DOUBLE_EQ(result.ranks[0].finish_time, 8.0);
   EXPECT_DOUBLE_EQ(result.ranks[1].finish_time, 8.0);
   EXPECT_DOUBLE_EQ(result.ranks[0].comm_seconds, 3.0);  // blocked 5→8
@@ -97,62 +103,62 @@ TEST(ReplayTest, RendezvousTimingExact) {
 }
 
 TEST(ReplayTest, TailComputeCounted) {
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 0, 1.0));
-  tl[0].tail_compute_seconds = 10.0;
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 0, 1.0));
-  const auto result = replay(tl, flat_network());
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 0, 1.0));
+  tl[0].tail_compute_units = 10.0;
+  tl[1].events.push_back(event(CommOp::Recv, 0, 0, 1.0));
+  const auto result = replay(views(tl), flat_network());
   EXPECT_DOUBLE_EQ(result.ranks[0].finish_time, 1.0 + 1.0 + 10.0);
   EXPECT_DOUBLE_EQ(result.ranks[0].compute_seconds, 11.0);
 }
 
 TEST(ReplayTest, NegativeOrNanTailRejected) {
   for (const double tail : {-5.0, std::nan("")}) {
-    std::vector<RankTimeline> tl(2);
-    tl[0].steps.push_back(step(CommOp::Barrier, -1, 0, 1.0));
-    tl[0].tail_compute_seconds = tail;
-    tl[1].steps.push_back(step(CommOp::Barrier, -1, 0, 1.0));
-    EXPECT_THROW(replay(tl, flat_network()), util::Error) << tail;
+    std::vector<trace::CommTrace> tl(2);
+    tl[0].events.push_back(event(CommOp::Barrier, -1, 0, 1.0));
+    tl[0].tail_compute_units = tail;
+    tl[1].events.push_back(event(CommOp::Barrier, -1, 0, 1.0));
+    EXPECT_THROW(replay(views(tl), flat_network()), util::Error) << tail;
   }
 }
 
 TEST(ReplayTest, MultipleMessagesMatchInOrder) {
   // Two sends from 0 to 1 match the two recvs in order.
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 100, 1.0));
-  tl[0].steps.push_back(step(CommOp::Send, 1, 100, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 100, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 100, 0.0));
-  const auto result = replay(tl, flat_network());
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 100, 1.0));
+  tl[0].events.push_back(event(CommOp::Send, 1, 100, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 100, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 100, 0.0));
+  const auto result = replay(views(tl), flat_network());
   // First match: max(1,0)+2=3; second: max(3,3)+2=5.
   EXPECT_DOUBLE_EQ(result.runtime, 5.0);
 }
 
 TEST(ReplayTest, BarrierSynchronizesAllRanks) {
-  std::vector<RankTimeline> tl(4);
+  std::vector<trace::CommTrace> tl(4);
   for (std::size_t r = 0; r < 4; ++r)
-    tl[r].steps.push_back(step(CommOp::Barrier, -1, 0, static_cast<double>(r)));
-  const auto result = replay(tl, flat_network());
+    tl[r].events.push_back(event(CommOp::Barrier, -1, 0, static_cast<double>(r)));
+  const auto result = replay(views(tl), flat_network());
   // All wait for rank 3 (arrives at 3), plus 2 stages × latency 1.
   for (const auto& rank : result.ranks) EXPECT_DOUBLE_EQ(rank.finish_time, 5.0);
 }
 
 TEST(ReplayTest, CollectiveMismatchDetected) {
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Barrier, -1, 0, 0.0));
-  tl[1].steps.push_back(step(CommOp::Allreduce, -1, 8, 0.0));
-  EXPECT_THROW(replay(tl, flat_network()), util::Error);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Barrier, -1, 0, 0.0));
+  tl[1].events.push_back(event(CommOp::Allreduce, -1, 8, 0.0));
+  EXPECT_THROW(replay(views(tl), flat_network()), util::Error);
 }
 
 TEST(ReplayTest, DeadlockDetected) {
   // Both ranks send first: rendezvous semantics deadlock.
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 8, 0.0));
-  tl[0].steps.push_back(step(CommOp::Recv, 1, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Send, 0, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 8, 0.0));
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 8, 0.0));
+  tl[0].events.push_back(event(CommOp::Recv, 1, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Send, 0, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 8, 0.0));
   try {
-    replay(tl, flat_network());
+    replay(views(tl), flat_network());
     FAIL() << "expected deadlock";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("deadlock"), std::string::npos);
@@ -162,17 +168,17 @@ TEST(ReplayTest, DeadlockDetected) {
 TEST(ReplayTest, DeadlockNamesOnlyTheStuckRanks) {
   // Ranks 0 and 1 both send first (rendezvous); ranks 2 and 3 exchange
   // correctly and finish.
-  std::vector<RankTimeline> tl(4);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 8, 0.0));
-  tl[0].steps.push_back(step(CommOp::Recv, 1, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Send, 0, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 8, 0.0));
-  tl[2].steps.push_back(step(CommOp::Send, 3, 8, 0.0));
-  tl[2].steps.push_back(step(CommOp::Recv, 3, 8, 0.0));
-  tl[3].steps.push_back(step(CommOp::Recv, 2, 8, 0.0));
-  tl[3].steps.push_back(step(CommOp::Send, 2, 8, 0.0));
+  std::vector<trace::CommTrace> tl(4);
+  tl[0].events.push_back(event(CommOp::Send, 1, 8, 0.0));
+  tl[0].events.push_back(event(CommOp::Recv, 1, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Send, 0, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 8, 0.0));
+  tl[2].events.push_back(event(CommOp::Send, 3, 8, 0.0));
+  tl[2].events.push_back(event(CommOp::Recv, 3, 8, 0.0));
+  tl[3].events.push_back(event(CommOp::Recv, 2, 8, 0.0));
+  tl[3].events.push_back(event(CommOp::Send, 2, 8, 0.0));
   try {
-    replay(tl, flat_network());
+    replay(views(tl), flat_network());
     FAIL() << "expected deadlock";
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("communication deadlock: 2 rank(s) stuck (first: 0,1)"),
@@ -184,14 +190,14 @@ TEST(ReplayTest, DeadlockNamesOnlyTheStuckRanks) {
 TEST(ReplayTest, BarrierLastArrivalIsRankZero) {
   // Rank 0 first waits for rank 3's message, so it reaches the barrier
   // after every other rank: its arrival completes the barrier for all.
-  std::vector<RankTimeline> tl(4);
-  tl[0].steps.push_back(step(CommOp::Recv, 3, 100, 0.0));
-  tl[0].steps.push_back(step(CommOp::Barrier, -1, 0, 0.5));
-  tl[1].steps.push_back(step(CommOp::Barrier, -1, 0, 2.0));
-  tl[2].steps.push_back(step(CommOp::Barrier, -1, 0, 1.0));
-  tl[3].steps.push_back(step(CommOp::Send, 0, 100, 1.0));
-  tl[3].steps.push_back(step(CommOp::Barrier, -1, 0, 0.0));
-  const auto result = replay(tl, flat_network());
+  std::vector<trace::CommTrace> tl(4);
+  tl[0].events.push_back(event(CommOp::Recv, 3, 100, 0.0));
+  tl[0].events.push_back(event(CommOp::Barrier, -1, 0, 0.5));
+  tl[1].events.push_back(event(CommOp::Barrier, -1, 0, 2.0));
+  tl[2].events.push_back(event(CommOp::Barrier, -1, 0, 1.0));
+  tl[3].events.push_back(event(CommOp::Send, 0, 100, 1.0));
+  tl[3].events.push_back(event(CommOp::Barrier, -1, 0, 0.0));
+  const auto result = replay(views(tl), flat_network());
   // Match at max(1, 0) + 2 = 3; rank 0 arrives at 3.5; barrier = 2 stages.
   for (const auto& rank : result.ranks) EXPECT_EQ(rank.finish_time, 5.5);
   EXPECT_EQ(result.ranks[0].comm_seconds, 3.0 + 2.0);
@@ -203,32 +209,32 @@ TEST(ReplayTest, BarrierLastArrivalIsRankZero) {
 }
 
 TEST(ReplayTest, SelfSendRejected) {
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 0, 8, 0.0));
-  EXPECT_THROW(replay(tl, flat_network()), util::Error);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 0, 8, 0.0));
+  EXPECT_THROW(replay(views(tl), flat_network()), util::Error);
 }
 
 TEST(ReplayTest, PeerOutOfRangeRejected) {
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 7, 8, 0.0));
-  EXPECT_THROW(replay(tl, flat_network()), util::Error);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 7, 8, 0.0));
+  EXPECT_THROW(replay(views(tl), flat_network()), util::Error);
 }
 
 TEST(ReplayTest, PureComputeRun) {
-  std::vector<RankTimeline> tl(3);
-  for (std::size_t r = 0; r < 3; ++r) tl[r].tail_compute_seconds = 2.0 + r;
-  const auto result = replay(tl, flat_network());
+  std::vector<trace::CommTrace> tl(3);
+  for (std::size_t r = 0; r < 3; ++r) tl[r].tail_compute_units = 2.0 + r;
+  const auto result = replay(views(tl), flat_network());
   EXPECT_DOUBLE_EQ(result.runtime, 4.0);
 }
 
 TEST(ReplayTest, DeterministicAcrossCalls) {
-  std::vector<RankTimeline> tl(4);
+  std::vector<trace::CommTrace> tl(4);
   for (std::size_t r = 0; r < 4; ++r) {
-    tl[r].steps.push_back(step(CommOp::Allreduce, -1, 64, 1.0 + 0.1 * r));
-    tl[r].steps.push_back(step(CommOp::Barrier, -1, 0, 0.5));
+    tl[r].events.push_back(event(CommOp::Allreduce, -1, 64, 1.0 + 0.1 * r));
+    tl[r].events.push_back(event(CommOp::Barrier, -1, 0, 0.5));
   }
-  const auto a = replay(tl, flat_network());
-  const auto b = replay(tl, flat_network());
+  const auto a = replay(views(tl), flat_network());
+  const auto b = replay(views(tl), flat_network());
   EXPECT_EQ(a.runtime, b.runtime);
   for (std::size_t r = 0; r < 4; ++r)
     EXPECT_EQ(a.ranks[r].finish_time, b.ranks[r].finish_time);
@@ -244,9 +250,41 @@ TEST(ReplayTest, TimelinesFromCommScalesUnits) {
   }
   const std::vector<double> scales = {0.01, 0.02};
   const auto timelines = simmpi::timelines_from_comm(traces, scales);
-  EXPECT_DOUBLE_EQ(timelines[0].steps[0].compute_seconds_before, 1.0);
-  EXPECT_DOUBLE_EQ(timelines[1].steps[0].compute_seconds_before, 2.0);
-  EXPECT_DOUBLE_EQ(timelines[1].tail_compute_seconds, 1.0);
+  EXPECT_EQ(timelines[1].events.data(), traces[1].events.data());  // a view, not a copy
+  EXPECT_DOUBLE_EQ(timelines[0].compute_seconds_before(0), 1.0);
+  EXPECT_DOUBLE_EQ(timelines[1].compute_seconds_before(0), 2.0);
+  EXPECT_DOUBLE_EQ(timelines[1].tail_compute_seconds(), 1.0);
+}
+
+TEST(ReplayTest, ViewsOutliveTheirScales) {
+  // Each view copies its rank's scale, so the scales may be freed before
+  // replay runs; ASan reports a view that still points into them.
+  std::vector<trace::CommTrace> traces(4);
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    const auto next = static_cast<std::int32_t>((r + 1) % 4);
+    const auto prev = static_cast<std::int32_t>((r + 3) % 4);
+    traces[r].events.push_back(event(CommOp::Barrier, -1, 0, 100.0 + 10.0 * r));
+    traces[r].events.push_back(event(CommOp::Send, next, 64, 7.0));
+    traces[r].events.push_back(event(CommOp::Recv, prev, 64, 3.0));
+    traces[r].tail_compute_units = 50.0 + r;
+  }
+  NetworkModel net = flat_network();
+  net.eager_threshold_bytes = 1024;
+  const std::vector<double> live = {0.01, 0.02, 0.03, 0.05};
+  const simmpi::ReplayResult expected = replay(simmpi::timelines_from_comm(traces, live), net);
+
+  std::vector<RankTimeline> timelines;
+  {
+    const std::vector<double> scales = live;
+    timelines = simmpi::timelines_from_comm(traces, scales);
+  }
+  const simmpi::ReplayResult actual = replay(timelines, net);
+  EXPECT_EQ(actual.runtime, expected.runtime);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(actual.ranks[r].finish_time, expected.ranks[r].finish_time);
+    EXPECT_EQ(actual.ranks[r].compute_seconds, expected.ranks[r].compute_seconds);
+    EXPECT_EQ(actual.ranks[r].comm_seconds, expected.ranks[r].comm_seconds);
+  }
 }
 
 TEST(ReplayTest, EmptyInputRejected) {
@@ -291,10 +329,10 @@ TEST(TorusTest, ReplayChargesHops) {
   net.torus.dims = {16, 1, 1};
   net.torus.per_hop_latency_s = 1.0;
   // Rank 0 sends to rank 8: 8 hops on the 16-ring → +8 s over the base.
-  std::vector<RankTimeline> tl(16);
-  tl[0].steps.push_back(step(CommOp::Send, 8, 100, 0.0));
-  tl[8].steps.push_back(step(CommOp::Recv, 0, 100, 0.0));
-  const auto result = replay(tl, net);
+  std::vector<trace::CommTrace> tl(16);
+  tl[0].events.push_back(event(CommOp::Send, 8, 100, 0.0));
+  tl[8].events.push_back(event(CommOp::Recv, 0, 100, 0.0));
+  const auto result = replay(views(tl), net);
   EXPECT_DOUBLE_EQ(result.ranks[8].finish_time, net.p2p_time(100) + 8.0);
 }
 
@@ -304,11 +342,11 @@ TEST(EagerTest, SenderContinuesWithoutReceiver) {
   NetworkModel net = flat_network();
   net.eager_threshold_bytes = 1024;
   net.per_stage_overhead_s = 0.5;
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 200, 1.0));  // eager (<=1024)
-  tl[0].tail_compute_seconds = 10.0;
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 200, 50.0));  // posts very late
-  const auto result = replay(tl, net);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 200, 1.0));  // eager (<=1024)
+  tl[0].tail_compute_units = 10.0;
+  tl[1].events.push_back(event(CommOp::Recv, 0, 200, 50.0));  // posts very late
+  const auto result = replay(views(tl), net);
   // Sender: 1.0 compute + 0.5 buffer deposit + 10 tail = 11.5, NOT waiting
   // for the receive at t=50.
   EXPECT_DOUBLE_EQ(result.ranks[0].finish_time, 11.5);
@@ -320,10 +358,10 @@ TEST(EagerTest, ReceiverWaitsForInFlightMessage) {
   NetworkModel net = flat_network();
   net.eager_threshold_bytes = 1024;
   net.per_stage_overhead_s = 0.0;
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 200, 5.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 200, 1.0));  // posts early
-  const auto result = replay(tl, net);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 200, 5.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 200, 1.0));  // posts early
+  const auto result = replay(views(tl), net);
   // Message lands at 5 + 3 = 8; the early receiver blocks 1 → 8.
   EXPECT_DOUBLE_EQ(result.ranks[1].finish_time, 8.0);
   EXPECT_DOUBLE_EQ(result.ranks[1].comm_seconds, 7.0);
@@ -336,14 +374,14 @@ TEST(EagerTest, ThreeSendsQueueOnOneChannelInOrder) {
   NetworkModel net = flat_network();
   net.eager_threshold_bytes = 1024;
   net.per_stage_overhead_s = 0.5;
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 300, 1.0));  // lands 1.0 + 4.0 = 5.0
-  tl[0].steps.push_back(step(CommOp::Send, 1, 100, 0.0));  // lands 1.5 + 2.0 = 3.5
-  tl[0].steps.push_back(step(CommOp::Send, 1, 50, 0.0));   // lands 2.0 + 1.5 = 3.5
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 300, 3.25));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 100, 1.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 50, 1.0));
-  const auto result = replay(tl, net);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 300, 1.0));  // lands 1.0 + 4.0 = 5.0
+  tl[0].events.push_back(event(CommOp::Send, 1, 100, 0.0));  // lands 1.5 + 2.0 = 3.5
+  tl[0].events.push_back(event(CommOp::Send, 1, 50, 0.0));   // lands 2.0 + 1.5 = 3.5
+  tl[1].events.push_back(event(CommOp::Recv, 0, 300, 3.25));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 100, 1.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 50, 1.0));
+  const auto result = replay(views(tl), net);
   EXPECT_EQ(result.ranks[0].finish_time, 2.5);  // three 0.5 s deposits
   EXPECT_EQ(result.ranks[0].comm_seconds, 1.5);
   // The first receive waits 3.25 -> 5.0 for the largest message; the other
@@ -359,12 +397,12 @@ TEST(EagerTest, BothSendFirstIsDeadlockFreeUnderEager) {
   // completes under eager — exactly real MPI's behaviour for small messages.
   NetworkModel net = flat_network();
   net.eager_threshold_bytes = 1024;
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 8, 0.0));
-  tl[0].steps.push_back(step(CommOp::Recv, 1, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Send, 0, 8, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 8, 0.0));
-  EXPECT_NO_THROW(replay(tl, net));
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 8, 0.0));
+  tl[0].events.push_back(event(CommOp::Recv, 1, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Send, 0, 8, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 8, 0.0));
+  EXPECT_NO_THROW(replay(views(tl), net));
 }
 
 TEST(EagerTest, ThresholdBoundary) {
@@ -374,12 +412,12 @@ TEST(EagerTest, ThresholdBoundary) {
   EXPECT_FALSE(net.is_eager(201));
 
   // 201-byte messages rendezvous: both-send-first deadlocks again.
-  std::vector<RankTimeline> tl(2);
-  tl[0].steps.push_back(step(CommOp::Send, 1, 201, 0.0));
-  tl[0].steps.push_back(step(CommOp::Recv, 1, 201, 0.0));
-  tl[1].steps.push_back(step(CommOp::Send, 0, 201, 0.0));
-  tl[1].steps.push_back(step(CommOp::Recv, 0, 201, 0.0));
-  EXPECT_THROW(replay(tl, net), util::Error);
+  std::vector<trace::CommTrace> tl(2);
+  tl[0].events.push_back(event(CommOp::Send, 1, 201, 0.0));
+  tl[0].events.push_back(event(CommOp::Recv, 1, 201, 0.0));
+  tl[1].events.push_back(event(CommOp::Send, 0, 201, 0.0));
+  tl[1].events.push_back(event(CommOp::Recv, 0, 201, 0.0));
+  EXPECT_THROW(replay(views(tl), net), util::Error);
 }
 
 TEST(EagerTest, DisabledByDefault) {
@@ -396,7 +434,7 @@ TEST(EagerTest, DisabledByDefault) {
 // exchange added), which often deadlocks.
 
 struct RandomSet {
-  std::vector<RankTimeline> timelines;
+  std::vector<trace::CommTrace> ranks;
   NetworkModel network;
 };
 
@@ -427,10 +465,10 @@ RandomSet random_set(std::uint64_t seed) {
   };
   auto compute = [&] { return rng.below(4) == 0 ? 0.0 : rng.uniform(0.0, 1e-3); };
   auto push = [&](std::uint32_t rank, CommOp op, std::int32_t peer, std::uint64_t b) {
-    set.timelines[rank].steps.push_back(step(op, peer, b, compute()));
+    set.ranks[rank].events.push_back(event(op, peer, b, compute()));
   };
 
-  set.timelines.resize(n);
+  set.ranks.resize(n);
   const std::uint64_t ops = 10 + rng.below(70);
   const CommOp collectives[] = {CommOp::Barrier,   CommOp::Bcast,     CommOp::Reduce,
                                 CommOp::Allreduce, CommOp::Allgather, CommOp::Alltoall};
@@ -452,19 +490,21 @@ RandomSet random_set(std::uint64_t seed) {
       push(to, CommOp::Recv, static_cast<std::int32_t>(from), b);
     }
   }
-  for (RankTimeline& tl : set.timelines) tl.tail_compute_seconds = compute();
+  for (trace::CommTrace& rank : set.ranks) rank.tail_compute_units = compute();
 
   if (seed % 4 == 3) {
-    std::vector<RankTimeline::Step>& steps = set.timelines[rng.below(n)].steps;
+    std::vector<CommEvent>& events = set.ranks[rng.below(n)].events;
     switch (rng.below(3)) {
       case 0:
-        if (!steps.empty())
-          steps.erase(steps.begin() + static_cast<std::ptrdiff_t>(rng.below(steps.size())));
+        if (!events.empty())
+          events.erase(events.begin() + static_cast<std::ptrdiff_t>(rng.below(events.size())));
         break;
       case 1:
-        if (steps.size() >= 2) {
-          const std::size_t at = rng.below(steps.size() - 1);
-          std::swap(steps[at].event, steps[at + 1].event);
+        if (events.size() >= 2) {
+          // Swap two events but not the bursts before them.
+          const std::size_t at = rng.below(events.size() - 1);
+          std::swap(events[at], events[at + 1]);
+          std::swap(events[at].compute_units_before, events[at + 1].compute_units_before);
         }
         break;
       default: {
@@ -488,7 +528,7 @@ template <typename Engine>
 std::pair<std::optional<simmpi::ReplayResult>, std::string> outcome(Engine engine,
                                                                     const RandomSet& set) {
   try {
-    return {engine(set.timelines, set.network), ""};
+    return {engine(views(set.ranks), set.network), ""};
   } catch (const util::Error& e) {
     const std::string what = e.what();
     for (const char* key : {"communication deadlock", "collective sequence mismatch"}) {
