@@ -61,9 +61,9 @@ struct ExtrapolationOptions {
   /// the overall best fit is used and its value clamped.
   bool reject_out_of_domain = true;
   /// Execution parallelism for the per-element fit and evaluate stages.
-  /// 0 = run on a lazily created process-wide pool, sized once at first use
-  /// from PMACX_THREADS (else the hardware thread count) — repeated calls
-  /// never pay thread spawn/join; 1 = serial; N > 1 = a private pool of N
+  /// 0 = run on the process-wide pool (util::shared_pool(), sized once at
+  /// first use from PMACX_THREADS, else the hardware thread count) —
+  /// repeated calls never pay thread spawn/join; 1 = serial; N > 1 = a private pool of N
   /// workers per stage.  The parallel path produces byte-identical traces,
   /// reports, and diagnostics to the serial path: elements are fitted and
   /// evaluated concurrently but results are applied in element order.
