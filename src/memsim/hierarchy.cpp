@@ -176,11 +176,18 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
   // The TLB walk stays in stream order here — its LRU state is shared
   // across all pages, so unlike the per-set cache state it is sensitive to
   // the global order — and is independent of the cache levels below.
-  block_lines_.clear();
-  block_stores_.clear();
-  std::uint64_t loads = 0;
+  //
+  // A probe of the line the previous staged probe touched is folded: it is
+  // a certain L1 hit that changes nothing but the line's dirty bit.  The
+  // staged probe left its line at rank 0 of its L1 set (a hit promotes it,
+  // a miss installs and promotes it), no other L1 access comes between the
+  // two, and under LRU and FIFO a hit on rank 0 moves no rank.  So the
+  // folded probe only counts a line access and an L1 hit, and ORs its store
+  // flag into the staged probe's L1 store flag; the levels below L1 never
+  // see it and keep the staged probe's own flag.
   std::uint64_t stores = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t folded = 0;
   const std::uint64_t sample_mask =
       config_.sample_shift != 0 ? (1ull << config_.sample_shift) - 1 : 0;
   const bool tlb_enabled = config_.tlb.enabled;
@@ -188,15 +195,20 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
       tlb_enabled ? static_cast<std::uint64_t>(std::countr_zero(
                         static_cast<std::uint64_t>(config_.tlb.page_bytes)))
                   : 0;
+  // One probe per reference unless references straddle lines; the buffers
+  // grow (rarely) when they do.
+  if (block_lines_.size() < block.count) grow_probe_buffers(block.count);
+  std::uint64_t* lines = block_lines_.data();
+  std::uint8_t* probe_stores = block_stores_.data();
+  std::uint8_t* l1_stores = block_l1_stores_.data();
+  std::size_t nprobes = 0;
+  std::uint64_t previous = 0;  // line of probe nprobes - 1
   for (std::size_t i = 0; i < block.count; ++i) {
     const std::uint32_t size = block.size[i];
     PMACX_CHECK(size > 0, "zero-size memory reference");
     const std::uint64_t addr = block.addr[i];
     const std::uint8_t is_store = block.is_store[i] != 0 ? 1 : 0;
-    if (is_store != 0)
-      ++stores;
-    else
-      ++loads;
+    stores += is_store;
     bytes += size;
     if (tlb_enabled) {
       const std::uint64_t first_page = addr >> page_shift;
@@ -208,16 +220,31 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
     const std::uint64_t last_line = (addr + size - 1) >> line_shift_;
     for (std::uint64_t line = first_line; line <= last_line; ++line) {
       if ((line & sample_mask) != 0) continue;  // set sampling (see access_one)
-      block_lines_.push_back(line);
-      block_stores_.push_back(is_store);
+      if (nprobes != 0 && line == previous) {
+        ++folded;
+        l1_stores[nprobes - 1] |= is_store;
+        continue;
+      }
+      if (nprobes == block_lines_.size()) {
+        grow_probe_buffers(2 * nprobes);
+        lines = block_lines_.data();
+        probe_stores = block_stores_.data();
+        l1_stores = block_l1_stores_.data();
+      }
+      lines[nprobes] = line;
+      probe_stores[nprobes] = is_store;
+      l1_stores[nprobes] = is_store;
+      ++nprobes;
+      previous = line;
     }
   }
   const auto add_refs = [&](AccessCounters& c) {
     c.refs += block.count;
-    c.loads += loads;
+    c.loads += block.count - stores;
     c.stores += stores;
     c.bytes += bytes;
-    c.line_accesses += block_lines_.size();
+    c.line_accesses += nprobes + folded;
+    c.level_hits[0] += folded;
   };
   add_refs(totals_);
   add_refs(scoped);
@@ -229,20 +256,18 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
   // levels bucket their surviving probes by set index (a stable counting
   // sort, so within-set order stays stream order) and replay the buckets
   // in ascending set order, turning the random metadata walk into a sweep.
-  const std::size_t nprobes = block_lines_.size();
   std::size_t unresolved = nprobes;
   if (block_order_a_.size() < nprobes) {
     block_order_a_.resize(nprobes);
     block_order_b_.resize(nprobes);
   }
   block_resolved_.assign(nprobes, 0);
-  const std::uint64_t* lines = block_lines_.data();
-  const std::uint8_t* stores_flags = block_stores_.data();
   std::uint32_t* bufs[2] = {block_order_a_.data(), block_order_b_.data()};
   const std::uint32_t* order = nullptr;  // null: all probes, stream order
   int flip = 0;
   for (std::size_t lvl = 0; lvl < levels_.size() && unresolved > 0; ++lvl) {
     CacheLevel& level = levels_[lvl];
+    const std::uint8_t* stores_flags = lvl == 0 ? l1_stores : probe_stores;
     std::uint32_t* misses = bufs[flip];
     util::simd::ProbeReplay result;
     if (level.metadata_bytes() <= kGroupedSweepBytes) {
@@ -294,6 +319,12 @@ void CacheHierarchy::access_block_grouped(const RefBlock& block,
   }
   totals_.memory_accesses += unresolved;
   scoped.memory_accesses += unresolved;
+}
+
+void CacheHierarchy::grow_probe_buffers(std::size_t probes) {
+  block_lines_.resize(probes);
+  block_stores_.resize(probes);
+  block_l1_stores_.resize(probes);
 }
 
 void CacheHierarchy::access_one(std::uint32_t thread, std::uint64_t addr,

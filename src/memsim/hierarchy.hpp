@@ -100,7 +100,9 @@ class CacheHierarchy {
   /// no prefetcher, non-inclusive, deterministic replacement) the block
   /// takes the grouped fast path: references are flattened into line
   /// probes once, then each level processes its surviving probes bucketed
-  /// by set index in ascending set order.
+  /// by set index in ascending set order.  Staging folds a probe of the
+  /// line the previous staged probe touched into a counted L1 hit (exact
+  /// under LRU and FIFO: that line is still at rank 0 of its L1 set).
   /// Within a set, probes keep stream order, and set states are mutually
   /// independent, so every hit/victim decision — and therefore every
   /// counter — matches the one-at-a-time walk; what changes is only the
@@ -135,6 +137,7 @@ class CacheHierarchy {
   void access_one(std::uint32_t thread, std::uint64_t addr, std::uint32_t size,
                   bool is_store, AccessCounters& scoped);
   void access_block_grouped(const RefBlock& block, AccessCounters& scoped);
+  void grow_probe_buffers(std::size_t probes);
   void tlb_access(std::uint64_t page, AccessCounters& scoped);
   void prefetcher_observe_miss(std::uint64_t line);
 
@@ -179,9 +182,11 @@ class CacheHierarchy {
   bool grouped_replay_ok_ = false;
   // Block-replay scratch, reused across blocks to stay allocation-free.
   // Probes are staged structure-of-arrays so the batched probe kernels
-  // take plain flat buffers.
+  // take plain flat buffers.  The probe buffers only grow; their size is
+  // the staging capacity, not the probe count.
   std::vector<std::uint64_t> block_lines_;     ///< probe line addresses
   std::vector<std::uint8_t> block_stores_;     ///< probe store flags
+  std::vector<std::uint8_t> block_l1_stores_;  ///< L1's: folded probes' flags OR-ed in
   std::vector<std::uint8_t> block_resolved_;   ///< grouped-replay hit marks
   std::vector<std::uint32_t> block_order_a_;   ///< ping-pong survivor lists:
   std::vector<std::uint32_t> block_order_b_;   ///<   miss indices per level

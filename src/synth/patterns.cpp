@@ -25,69 +25,101 @@ RefStream::RefStream(const StreamSpec& spec, std::uint64_t seed) : spec_(spec), 
   PMACX_CHECK(spec_.store_fraction >= 0.0 && spec_.store_fraction <= 1.0,
               "store fraction out of [0,1]");
   elems_ = spec_.footprint_bytes / spec_.elem_bytes;
+  reject_below_ = util::Rng::below_threshold(elems_);
+  step_ = spec_.stride_elems % elems_;
 
   if (spec_.pattern == Pattern::Stencil3d) {
     side_ = static_cast<std::uint64_t>(std::cbrt(static_cast<double>(elems_)));
     if (side_ < 4) side_ = 4;
     while (side_ * side_ * side_ > elems_ && side_ > 4) --side_;
     plane_ = side_ * side_;
+    points_ = plane_ * side_;
+    // The point itself, then its six face neighbours: ±1, ±side, ±plane.
+    // Each offset is below points_ in magnitude, so one conditional
+    // subtraction wraps point + offset back into the grid.
+    arm_offset_ = {0, 1, points_ - 1, side_, points_ - side_, plane_, points_ - plane_};
   }
 }
 
-memsim::MemRef RefStream::next() {
-  std::uint64_t elem = 0;
+void RefStream::fill(std::uint64_t* addr, std::uint8_t* store, std::size_t n) {
+  // Local copies: `store` is a byte array that may alias any member, so
+  // state kept in members would be reloaded after every write.
+  util::Rng rng = rng_;
+  std::uint64_t pos = pos_;
+  std::uint32_t phase = phase_;
+  const std::uint64_t elems = elems_;
+  const std::uint64_t reject_below = reject_below_;
+  const std::uint64_t base = spec_.base_addr;
+  const std::uint64_t elem_bytes = spec_.elem_bytes;
+  const double store_fraction = spec_.store_fraction;
+  // A reference's element draw, if any, comes before its store draw.
+  const auto emit = [&](std::size_t k, std::uint64_t elem) {
+    addr[k] = base + elem * elem_bytes;
+    store[k] = rng.uniform() < store_fraction ? 1 : 0;
+  };
   switch (spec_.pattern) {
     case Pattern::Sequential:
-      elem = cursor_ % elems_;
-      ++cursor_;
+      for (std::size_t k = 0; k < n; ++k) {
+        emit(k, pos);
+        if (++pos == elems) pos = 0;
+      }
       break;
-    case Pattern::Strided:
-      elem = (cursor_ * spec_.stride_elems) % elems_;
-      ++cursor_;
+    case Pattern::Strided: {
+      // Element (k · stride) mod elems, advanced by the reduced stride.
+      const std::uint64_t step = step_;
+      for (std::size_t k = 0; k < n; ++k) {
+        emit(k, pos);
+        pos += step;
+        if (pos >= elems) pos -= elems;
+      }
       break;
+    }
     case Pattern::Random:
-      elem = rng_.below(elems_);
+      for (std::size_t k = 0; k < n; ++k) emit(k, rng.below(elems, reject_below));
       break;
     case Pattern::Gather:
       // Alternate a sequential index-array read with a random data read,
       // modeling a[idx[i]]-style indirection.
-      if (cursor_ % 2 == 0) {
-        elem = (cursor_ / 2) % elems_;
-      } else {
-        elem = rng_.below(elems_);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (phase == 0) {
+          emit(k, pos);
+          if (++pos == elems) pos = 0;
+        } else {
+          emit(k, rng.below(elems, reject_below));
+        }
+        phase ^= 1;
       }
-      ++cursor_;
       break;
     case Pattern::Stencil3d: {
       // Sweep grid points in order; each point touches itself and its six
-      // face neighbours across successive calls.
-      const std::uint64_t points = plane_ * side_;
-      const std::uint64_t point = (cursor_ / 7) % points;
-      const std::uint32_t arm = stencil_point_;
-      stencil_point_ = (stencil_point_ + 1) % 7;
-      ++cursor_;
-      std::int64_t offset = 0;
-      switch (arm) {
-        case 0: offset = 0; break;
-        case 1: offset = 1; break;
-        case 2: offset = -1; break;
-        case 3: offset = static_cast<std::int64_t>(side_); break;
-        case 4: offset = -static_cast<std::int64_t>(side_); break;
-        case 5: offset = static_cast<std::int64_t>(plane_); break;
-        case 6: offset = -static_cast<std::int64_t>(plane_); break;
+      // face neighbours across successive references.
+      const std::array<std::uint64_t, 7> offset = arm_offset_;
+      const std::uint64_t points = points_;
+      for (std::size_t k = 0; k < n; ++k) {
+        std::uint64_t elem = pos + offset[phase];
+        if (elem >= points) elem -= points;
+        emit(k, elem);
+        if (++phase == 7) {
+          phase = 0;
+          if (++pos == points) pos = 0;
+        }
       }
-      const std::int64_t raw = static_cast<std::int64_t>(point) + offset;
-      elem = static_cast<std::uint64_t>((raw % static_cast<std::int64_t>(points) +
-                                         static_cast<std::int64_t>(points)) %
-                                        static_cast<std::int64_t>(points));
       break;
     }
   }
+  rng_ = rng;
+  pos_ = pos;
+  phase_ = phase;
+}
 
+memsim::MemRef RefStream::next() {
+  std::uint64_t addr = 0;
+  std::uint8_t store = 0;
+  fill(&addr, &store, 1);
   memsim::MemRef ref;
-  ref.addr = spec_.base_addr + elem * spec_.elem_bytes;
+  ref.addr = addr;
   ref.size = spec_.elem_bytes;
-  ref.is_store = rng_.uniform() < spec_.store_fraction;
+  ref.is_store = store != 0;
   return ref;
 }
 

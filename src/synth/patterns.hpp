@@ -11,6 +11,8 @@
 // footprint, index-driven gathers, and 3-D stencil neighbourhoods.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,14 +43,19 @@ struct StreamSpec {
   double store_fraction = 0.25;       ///< fraction of refs that are stores
 };
 
-/// Pulls `count` references from the stream, invoking sink(const MemRef&)
-/// for each.  Deterministic for a fixed `rng` state.  The stream keeps no
-/// state between calls beyond what `cursor` carries, so callers can
-/// interleave kernels.
+/// A deterministic reference stream: the spec's pattern drawn from a seeded
+/// rng.  The stream carries its own position, so callers can interleave
+/// kernels.  fill() is the one generator; next() is a fill of one, and
+/// any split of a stream into fills and next() calls yields the same
+/// sequence.
 class RefStream {
  public:
   /// Validates the spec (footprint ≥ one element, non-zero element size).
   RefStream(const StreamSpec& spec, std::uint64_t seed);
+
+  /// Generates the next `n` references: addr[k] and store[k] (1 = store)
+  /// for k in [0, n).  Every reference is spec().elem_bytes wide.
+  void fill(std::uint64_t* addr, std::uint8_t* store, std::size_t n);
 
   /// Generates the next reference.
   memsim::MemRef next();
@@ -58,12 +65,22 @@ class RefStream {
  private:
   StreamSpec spec_;
   util::Rng rng_;
-  std::uint64_t elems_;     ///< footprint in elements
-  std::uint64_t cursor_ = 0;
-  // Stencil3d geometry: cubic grid with side_ elements per dimension.
+  std::uint64_t elems_;         ///< footprint in elements
+  std::uint64_t reject_below_;  ///< Rng::below_threshold(elems_)
+  std::uint64_t step_ = 0;      ///< Strided: stride_elems % elems_
+  /// Running element position: the next element (Sequential, Strided),
+  /// the next index-array element (Gather) or the current grid point
+  /// (Stencil3d).  Always below elems_ (points_ for Stencil3d).
+  std::uint64_t pos_ = 0;
+  /// Gather: 0 when the index read comes next, 1 for the data read.
+  /// Stencil3d: the arm (0..6) of the current point's next reference.
+  std::uint32_t phase_ = 0;
+  // Stencil3d geometry: cubic grid with side_ elements per dimension, and
+  // each arm's neighbour offset reduced modulo the point count.
   std::uint64_t side_ = 0;
   std::uint64_t plane_ = 0;
-  std::uint32_t stencil_point_ = 0;
+  std::uint64_t points_ = 0;
+  std::array<std::uint64_t, 7> arm_offset_{};
 };
 
 }  // namespace pmacx::synth

@@ -5,11 +5,11 @@
 // loop: the tracer (hit rates per basic block and instruction), the
 // reference "measured" run (per-reference timing) and the MultiMAPS probe
 // (bandwidth samples).  They share this code: it builds a kernel's
-// per-thread streams, stages their references into RefBlocks, decides
-// which thread issues each one, and hands every block to the hierarchy in
-// one access_block call, switching accounting scope only between blocks.
-// Staging order is replay order, so every counter matches a
-// reference-at-a-time walk.
+// per-thread streams, fills RefBlocks from them with one RefStream::fill
+// per stream and block, decides which thread issues each reference, and
+// hands every block to the hierarchy in one access_block call, switching
+// accounting scope only between blocks.  Staging order is replay order,
+// so every counter matches a reference-at-a-time walk.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,9 @@ std::vector<RefStream> kernel_streams(const KernelSpec& kernel, std::uint32_t th
 /// by that thread (round-robin), and is charged to scope
 /// first_scope + (i · scopes) / refs: `scopes` consecutive, equal chunks,
 /// so early chunks absorb the cold misses and later ones run warm.  A
-/// chunk that receives no reference opens no scope.
+/// chunk that receives no reference opens no scope.  Records the call's
+/// generation and simulation wall time, one sample each, in the
+/// synth.replay.generate.wall_ns and synth.replay.simulate.wall_ns timers.
 void replay(memsim::CacheHierarchy& sim, std::vector<RefStream>& streams,
             std::uint64_t refs, std::uint64_t first_scope, std::uint32_t scopes = 1);
 

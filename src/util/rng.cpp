@@ -22,44 +22,16 @@ std::uint64_t derive_seed(std::uint64_t parent, std::uint64_t index) {
   return splitmix64(s);
 }
 
-namespace {
-
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64(s);
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::below(std::uint64_t n) {
   PMACX_CHECK(n > 0, "Rng::below requires n > 0");
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - n) % n;
-  for (;;) {
-    const std::uint64_t r = (*this)();
-    if (r >= threshold) return r % n;
-  }
+  return below(n, below_threshold(n));
 }
 
 double Rng::normal() {

@@ -33,17 +33,45 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next 64 uniformly random bits.
-  result_type operator()();
+  /// Next 64 uniformly random bits.  Inline: the reference generators
+  /// draw once or twice per simulated memory reference.
+  result_type operator()() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
   /// Uniform integer in [0, n).  n must be > 0.
   std::uint64_t below(std::uint64_t n);
+
+  /// below(n) for a caller that draws from one range many times and has
+  /// computed its rejection threshold below_threshold(n) once.  Unchecked:
+  /// n must be > 0.
+  std::uint64_t below(std::uint64_t n, std::uint64_t threshold) {
+    // Rejection sampling to avoid modulo bias.
+    for (;;) {
+      const std::uint64_t r = (*this)();
+      if (r >= threshold) return r % n;
+    }
+  }
+
+  /// Rejection threshold of below(n): the draws under it are discarded.
+  static std::uint64_t below_threshold(std::uint64_t n) { return (0 - n) % n; }
 
   /// Standard normal deviate (Box–Muller, stateless variant using two draws).
   double normal();
@@ -52,6 +80,8 @@ class Rng {
   double normal(double mean, double stddev);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t state_[4];
 };
 

@@ -22,9 +22,14 @@ TaskError::TaskError(std::size_t task_index, const std::string& message)
 namespace detail {
 
 void ForState::rethrow_first() {
-  if (failures.empty()) return;
-  const ForFailure* first = &failures.front();
-  for (const ForFailure& failure : failures) {
+  std::vector<ForFailure> taken;
+  {
+    std::scoped_lock lock(error_mutex);
+    taken.swap(failures);
+  }
+  if (taken.empty()) return;
+  const ForFailure* first = &taken.front();
+  for (const ForFailure& failure : taken) {
     if (failure.index < first->index) first = &failure;
   }
   try {

@@ -142,7 +142,10 @@ struct ForState {
 
   /// Rethrows the failure with the lowest task index (deterministic: the
   /// one a serial loop would have hit first).  util::Error subclasses pass
-  /// through unchanged; anything else is wrapped into TaskError.
+  /// through unchanged; anything else is wrapped into TaskError.  The
+  /// failures are first swapped out under error_mutex: a chunk task may
+  /// release the last shared reference to this state on a worker, and it
+  /// must not release the last reference to an exception the caller reads.
   void rethrow_first();
 };
 
@@ -291,7 +294,15 @@ T TaskFuture<T>::get() {
       if (state_->done) break;
     }
   }
-  if (state_->error) std::rethrow_exception(state_->error);
+  // Take the error out under the lock, so the worker never holds the last
+  // reference to an exception this thread reads (the exception's reference
+  // count lives in uninstrumented libstdc++, outside TSan's view).
+  std::exception_ptr error;
+  {
+    std::scoped_lock lock(state_->mutex);
+    error = std::move(state_->error);
+  }
+  if (error) std::rethrow_exception(error);
   if constexpr (!std::is_void_v<T>) return std::move(*state_->value);
 }
 

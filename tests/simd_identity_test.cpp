@@ -138,8 +138,7 @@ TEST(SimdIdentityTest, FittedModelSetIdenticalAcrossLevels) {
 
 // -------------------------------------------------------------- cache sim ----
 
-/// Per-thread streams of one strided/random/sequential kernel, built by
-/// synth::kernel_streams.
+/// Per-thread streams of one kernel, built by synth::kernel_streams.
 std::vector<synth::RefStream> identity_streams(synth::Pattern pattern, std::uint64_t block_id,
                                                std::uint32_t threads) {
   synth::KernelSpec kernel;
@@ -249,6 +248,172 @@ TEST(SimdIdentityTest, AccessBlockMatchesPerRefAccess) {
     expect_identical(one_at_a_time.scope(7), blocked.scope(7));
     expect_identical(one_at_a_time.scope(8), blocked.scope(8));
     EXPECT_EQ(blocked.scope(8).refs, kRefs - kSwitchAt);
+  }
+}
+
+TEST(SimdIdentityTest, ReplayMatchesPerRefWalk) {
+  // synth::replay fills each block with one call per stream and, for a
+  // hybrid rank, interleaves the threads' shares round robin.  A walk that
+  // issues reference i from stream i % threads, one access() at a time,
+  // into scope first + (i · scopes) / refs must leave identical counters.
+  // Three threads put block boundaries at every thread offset.
+  const memsim::HierarchyConfig config = machine::bluewaters_p1().hierarchy;
+  constexpr std::uint64_t kRefs = 20'011;
+  constexpr std::uint64_t kFirstScope = 10;
+  constexpr std::uint32_t kScopes = 3;
+  for (const std::uint32_t threads : {1u, 3u, 4u}) {
+    for (const synth::Pattern pattern :
+         {synth::Pattern::Sequential, synth::Pattern::Strided, synth::Pattern::Random,
+          synth::Pattern::Gather, synth::Pattern::Stencil3d}) {
+      SCOPED_TRACE(synth::pattern_name(pattern) + " on " + std::to_string(threads) +
+                   " threads");
+      std::vector<synth::RefStream> streams = identity_streams(pattern, 5, threads);
+      memsim::CacheHierarchy blocked = identity_hierarchy(config, threads);
+      synth::replay(blocked, streams, kRefs, kFirstScope, kScopes);
+
+      std::vector<synth::RefStream> walk_streams = identity_streams(pattern, 5, threads);
+      memsim::CacheHierarchy walked = identity_hierarchy(config, threads);
+      for (std::uint64_t i = 0; i < kRefs; ++i) {
+        if (i == 0 || i * kScopes / kRefs != (i - 1) * kScopes / kRefs)
+          walked.set_scope(kFirstScope + i * kScopes / kRefs);
+        const auto thread = static_cast<std::uint32_t>(i % threads);
+        walked.access(walk_streams[thread].next(), thread);
+      }
+      expect_identical(walked.totals(), blocked.totals());
+      for (std::uint64_t scope = kFirstScope; scope < kFirstScope + kScopes; ++scope)
+        expect_identical(walked.scope(scope), blocked.scope(scope));
+    }
+  }
+}
+
+/// Two small levels for the fold inputs: a 64-line 4-way L1 under
+/// `l1_policy` over a 1024-line 8-way LRU L2.
+memsim::HierarchyConfig fold_config(memsim::Replacement l1_policy,
+                                    std::uint32_t sample_shift = 0) {
+  memsim::CacheLevelConfig l1;
+  l1.name = "L1";
+  l1.size_bytes = 64 * 64;
+  l1.associativity = 4;
+  l1.replacement = l1_policy;
+  memsim::CacheLevelConfig l2;
+  l2.name = "L2";
+  l2.size_bytes = 1024 * 64;
+  l2.associativity = 8;
+  memsim::HierarchyConfig config;
+  config.name = "fold";
+  config.levels = {l1, l2};
+  config.sample_shift = sample_shift;
+  return config;
+}
+
+/// Appends one load per line over 4096 fresh lines, four times the L2:
+/// every line the input left behind is evicted from both levels, so each
+/// dirty bit the input set shows up in the writeback count.
+void append_eviction(std::vector<memsim::MemRef>& refs) {
+  for (std::uint64_t line = 0; line < 4096; ++line)
+    refs.push_back({(std::uint64_t{1} << 30) + line * 64, 8, false});
+}
+
+/// Replays `refs` one reference at a time and in blocks of `block_refs`
+/// (scope 1 + i / (4 · block_refs), so scopes switch on block boundaries)
+/// and expects identical totals and scopes.
+void expect_block_matches_walk(const memsim::HierarchyConfig& config,
+                               const std::vector<memsim::MemRef>& refs,
+                               std::size_t block_refs) {
+  const auto scope_of = [&](std::size_t i) { return 1 + i / (4 * block_refs); };
+  memsim::CacheHierarchy walked(config);
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    if (i % (4 * block_refs) == 0) walked.set_scope(scope_of(i));
+    walked.access(refs[i]);
+  }
+  memsim::CacheHierarchy blocked(config);
+  util::Arena arena;
+  memsim::RefBlockBuilder builder(arena, block_refs);
+  for (std::size_t i = 0; i < refs.size();) {
+    blocked.set_scope(scope_of(i));
+    builder.clear();
+    for (; i < refs.size() && !builder.full(); ++i)
+      builder.push(refs[i].addr, refs[i].size, refs[i].is_store);
+    blocked.access_block(builder.block());
+  }
+  expect_identical(walked.totals(), blocked.totals());
+  ASSERT_EQ(walked.scopes().size(), blocked.scopes().size());
+  for (const auto& [id, counters] : walked.scopes()) {
+    SCOPED_TRACE("scope " + std::to_string(id));
+    expect_identical(counters, blocked.scope(id));
+  }
+}
+
+TEST(SimdIdentityTest, FoldedProbesMatchPerRefAccess) {
+  // One thread, no prefetcher, non-inclusive, LRU/FIFO: access_block takes
+  // the grouped path, which folds a probe of the previous probe's line into
+  // an L1 hit.  Each input repeats lines in the ways that fold, then evicts
+  // everything, so a folded store flag that reached the wrong level would
+  // change the writeback count.
+  const auto word = [](std::uint64_t line, std::uint64_t offset, bool is_store) {
+    return memsim::MemRef{(std::uint64_t{1} << 20) + line * 64 + offset, 8, is_store};
+  };
+  for (const std::size_t block_refs : {std::size_t{5}, std::size_t{64}}) {
+    SCOPED_TRACE("block of " + std::to_string(block_refs));
+    {
+      SCOPED_TRACE("load miss, then stores to the same line");
+      std::vector<memsim::MemRef> refs;
+      for (std::uint64_t line = 0; line < 200; line += 3) {
+        refs.push_back(word(line, 0, false));
+        refs.push_back(word(line, 8, true));
+        refs.push_back(word(line, 16, true));
+        refs.push_back(word(line, 24, false));
+      }
+      append_eviction(refs);
+      expect_block_matches_walk(fold_config(memsim::Replacement::Lru), refs, block_refs);
+    }
+    {
+      SCOPED_TRACE("a line repeated around a probe that sampling drops");
+      std::vector<memsim::MemRef> refs;
+      for (std::uint64_t line = 0; line < 200; line += 2) {
+        refs.push_back(word(line, 0, false));
+        refs.push_back(word(line + 1, 0, true));  // odd line: not sampled
+        refs.push_back(word(line, 8, line % 4 == 0));
+        refs.push_back(word(line + 1, 8, false));
+        refs.push_back(word(line, 16, true));
+      }
+      append_eviction(refs);
+      expect_block_matches_walk(fold_config(memsim::Replacement::Lru, 1), refs, block_refs);
+    }
+    {
+      SCOPED_TRACE("references that straddle two lines");
+      std::vector<memsim::MemRef> refs;
+      for (std::uint64_t line = 0; line < 200; line += 2) {
+        refs.push_back(word(line, 60, false));       // lines line, line + 1
+        refs.push_back(word(line + 1, 4, true));     // line + 1 again
+        refs.push_back(word(line + 1, 60, false));   // line + 1, line + 2
+        refs.push_back(memsim::MemRef{(std::uint64_t{1} << 20) + (line + 2) * 64 + 32, 128,
+                                      line % 4 == 0});  // three lines
+      }
+      append_eviction(refs);
+      expect_block_matches_walk(fold_config(memsim::Replacement::Lru), refs, block_refs);
+    }
+    {
+      SCOPED_TRACE("an L1 under FIFO");
+      // Lines 16 apart share an L1 set; a FIFO hit leaves the line's rank
+      // where it was, and a repeat of that line still only sets its dirty bit.
+      std::vector<memsim::MemRef> refs;
+      for (std::uint64_t round = 0; round < 40; ++round) {
+        const std::uint64_t a = round % 7;
+        const std::uint64_t b = a + 16;
+        const std::uint64_t c = a + 32 * (1 + round % 3);
+        refs.push_back(word(a, 0, false));
+        refs.push_back(word(b, 0, round % 2 == 0));
+        refs.push_back(word(a, 8, false));
+        refs.push_back(word(a, 16, true));
+        refs.push_back(word(c, 0, false));
+        refs.push_back(word(c, 8, true));
+        refs.push_back(word(b, 8, true));
+        refs.push_back(word(b, 16, false));
+      }
+      append_eviction(refs);
+      expect_block_matches_walk(fold_config(memsim::Replacement::Fifo), refs, block_refs);
+    }
   }
 }
 

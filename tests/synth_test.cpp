@@ -6,6 +6,7 @@
 #include <set>
 
 #include "machine/targets.hpp"
+#include "reference_stream.hpp"
 #include "simmpi/replay.hpp"
 #include "synth/app.hpp"
 #include "synth/patterns.hpp"
@@ -105,6 +106,85 @@ TEST(PatternTest, RejectsBadSpecs) {
   spec.stride_elems = 0;
   EXPECT_THROW(RefStream(spec, 1), util::Error);
 }
+
+// ------------------------------------------------------ bulk generation ----
+
+/// Runs `schedule` on a RefStream — fill(n) for an entry n > 0, next() for
+/// an entry 0 — and expects each reference to equal the per-reference
+/// oracle's (tests/reference_stream.hpp) at the same position.
+void expect_matches_oracle(const StreamSpec& spec, std::uint64_t seed,
+                           const std::vector<std::size_t>& schedule) {
+  RefStream stream(spec, seed);
+  test::ReferenceRefStream oracle(spec, seed);
+  std::vector<std::uint64_t> addr;
+  std::vector<std::uint8_t> store;
+  std::size_t position = 0;
+  for (const std::size_t n : schedule) {
+    if (n == 0) {
+      const memsim::MemRef ref = stream.next();
+      ASSERT_EQ(ref.size, spec.elem_bytes);
+      addr.assign(1, ref.addr);
+      store.assign(1, ref.is_store ? 1 : 0);
+    } else {
+      addr.assign(n, 0);
+      store.assign(n, 2);
+      stream.fill(addr.data(), store.data(), n);
+    }
+    for (std::size_t k = 0; k < addr.size(); ++k, ++position) {
+      const memsim::MemRef want = oracle.next();
+      ASSERT_EQ(addr[k], want.addr) << "reference " << position;
+      ASSERT_EQ(store[k], want.is_store ? 1 : 0) << "reference " << position;
+    }
+  }
+}
+
+class FillOracleTest : public ::testing::TestWithParam<Pattern> {};
+
+TEST_P(FillOracleTest, MatchesPerReferenceGenerator) {
+  // Footprints: 8 elements (many wraps, and a stencil grid larger than the
+  // footprint), 125 (a 5³ grid that wraps after 875 references), 65, one
+  // element, 3072 and 2^17 (rejection thresholds that are not zero).
+  // Strides: at, above and a multiple-plus-one of the element count, and
+  // one that shares a factor with it.
+  struct Case {
+    std::uint64_t footprint;
+    std::uint32_t elem_bytes;
+    std::uint32_t stride;
+    double store_fraction;
+  };
+  const Case cases[] = {
+      {64, 8, 3, 0.25},      {1000, 8, 4, 0.5},     {520, 8, 65, 0.3},
+      {520, 8, 66, 1.0},     {8, 8, 1, 0.25},       {8, 8, 7, 0.0},
+      {96, 8, 8, 0.25},      {64, 8, 13, 0.25},     {64, 8, 25, 0.75},
+      {24u << 10, 8, 5, 0.25}, {1u << 20, 8, 3, 0.25}, {1000, 4, 6, 0.25},
+      {4096, 16, 9, 0.25},
+  };
+  // Fills of 1, 7 and 4096 interleaved with next(); a first next() leaves
+  // a gather at an odd position, three leave a stencil mid-cycle.
+  const std::vector<std::vector<std::size_t>> schedules = {
+      {1, 7, 4096, 0, 0, 1, 7, 0, 4096, 3},
+      {0, 4096, 7, 0, 1},
+      {0, 0, 0, 4096, 0, 0, 0, 0, 7},
+      {4096, 4096, 4096},
+  };
+  for (const Case& c : cases) {
+    StreamSpec spec = spec_of(GetParam(), c.footprint);
+    spec.elem_bytes = c.elem_bytes;
+    spec.stride_elems = c.stride;
+    spec.store_fraction = c.store_fraction;
+    for (std::size_t s = 0; s < schedules.size(); ++s) {
+      SCOPED_TRACE("footprint " + std::to_string(c.footprint) + ", stride " +
+                   std::to_string(c.stride) + ", schedule " + std::to_string(s));
+      expect_matches_oracle(spec, 17 + s, schedules[s]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPatterns, FillOracleTest,
+                         ::testing::Values(Pattern::Sequential, Pattern::Strided,
+                                           Pattern::Random, Pattern::Gather,
+                                           Pattern::Stencil3d),
+                         [](const auto& info) { return synth::pattern_name(info.param); });
 
 // ----------------------------------------------------------------- laws ----
 

@@ -57,7 +57,7 @@ import sys
 # --require-*-counter flags instead.
 TOOL_REQUIRED_STAGES = {
     "pmacx_extrapolate": ("extrapolate.load", "extrapolate.fit", "extrapolate.apply"),
-    "pmacx_trace": ("trace.task",),
+    "pmacx_trace": ("trace.task", "synth.replay.generate", "synth.replay.simulate"),
     "pmacx_predict": ("psins.predict",),
 }
 
